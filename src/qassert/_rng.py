@@ -2,8 +2,9 @@
 
 Every stochastic draw in the package comes from a substream derived
 injectively from a (seed, lane, index) triple, so results are reproducible
-and independent of execution order: shot i of a sampling run and resample i
-of a Monte Carlo run each get their own generator. Lanes keep the different
+and independent of execution order: shot i of a sampling run gets its own
+generator, and a Monte Carlo test draws all of its resampled tables from
+one generator, substream 0 of its checkpoint seed. Lanes keep the different
 consumers (shot sampling, table resampling) off each other's streams even
 when they share a user-facing seed.
 """

@@ -6,10 +6,12 @@ import argparse
 import os
 import sys
 
+from .assertions import DEFAULT_ALPHA
 from .errors import QAssertError
 from .examples import build_example, builtin_examples
 from .parser import parse_circuit
 from .runner import ProgramConfig, render_report, run_program
+from .stats import DEFAULT_RESAMPLES
 
 
 def _default_seed() -> int:
@@ -27,11 +29,11 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="override the shot count for every checkpoint")
     parser.add_argument("--seed", type=int, default=None,
                         help="base random seed (default: $QASSERT_SEED or 0)")
-    parser.add_argument("--alpha", type=float, default=0.05,
-                        help="default critical p-value (default: 0.05)")
-    parser.add_argument("--resamples", type=int, default=9999,
+    parser.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                        help="default critical p-value (default: %(default)s)")
+    parser.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES,
                         help="Monte Carlo resamples for product checkpoints "
-                             "(default: 9999)")
+                             "(default: %(default)s)")
     parser.add_argument("--legacy-chisq", action="store_true",
                         help="route product checkpoints through the add-1 "
                              "chi-square baseline (comparison only)")

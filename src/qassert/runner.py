@@ -12,9 +12,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .assertions import AssertionDirective, AssertionKind, AssertionResult, evaluate_checkpoint
+from .assertions import (
+    DEFAULT_ALPHA,
+    AssertionDirective,
+    AssertionKind,
+    AssertionResult,
+    evaluate_checkpoint,
+)
 from .errors import QAssertError
 from .sim import Circuit
+from .stats import DEFAULT_RESAMPLES
 
 TEXT = "text"
 JSON = "json"
@@ -26,8 +33,8 @@ class ProgramConfig:
 
     shots: int | None = None
     seed: int = 0
-    alpha: float = 0.05
-    resamples: int = 9999
+    alpha: float = DEFAULT_ALPHA
+    resamples: int = DEFAULT_RESAMPLES
     legacy_chisq: bool = False
     fmt: str = TEXT
 

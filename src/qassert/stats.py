@@ -2,7 +2,7 @@
 
 Three families: chi-square goodness of fit (p-values via the upper
 regularized incomplete gamma function), Fisher's exact test for 2x2
-contingency tables, and a Monte Carlo permutation test for larger tables.
+contingency tables, and a Monte Carlo test for larger tables.
 A legacy add-1 chi-square mode is kept purely as a comparison baseline; it
 is known to report spurious dependence on sparse tables.
 
@@ -19,9 +19,11 @@ from enum import Enum
 import numpy as np
 
 from ._rng import LANE_RESAMPLES, substream
-from .errors import ConvergenceError, InvalidExpectedError
+from .errors import CapacityError, ConvergenceError, InvalidExpectedError
 
 DEFAULT_RESAMPLES = 9999
+MAX_RESAMPLES = 10**6  # about 10 s per 32x2 checkpoint, not hours
+_MC_BLOCK = 1024  # resampled tables per batch, bounding the batch's memory
 
 # Relative tolerance for "as extreme as observed" probability comparisons,
 # keeping float ties from flipping which tables count as extreme.
@@ -64,9 +66,7 @@ class ContingencyTable:
         if not np.issubdtype(cells.dtype, np.integer):
             if not np.all(cells == np.floor(cells)):
                 raise ValueError("contingency table cells must be integers")
-            cells = cells.astype(np.int64)
-        else:
-            cells = cells.astype(np.int64)
+        cells = cells.astype(np.int64)
         if np.any(cells < 0):
             raise ValueError("contingency table cells must be nonnegative")
         self.cells = cells
@@ -222,11 +222,11 @@ def fisher_exact_2x2(table: ContingencyTable) -> PValue:
     r0, r1 = (int(v) for v in table.row_sums)
     c0, _ = (int(v) for v in table.col_sums)
     n = table.total
-    if n == 0:
-        return PValue(1.0, TestMethod.FISHER_EXACT)
-    lf = _log_factorials(n)
     lo = max(0, c0 - r1)
     hi = min(r0, c0)
+    if lo == hi:
+        return PValue(1.0, TestMethod.FISHER_EXACT)
+    lf = _log_factorials(n)
     a = np.arange(lo, hi + 1)
     log_margins = float(lf[r0] + lf[r1] + lf[c0] + lf[n - c0] - lf[n])
     log_probs = log_margins - (lf[a] + lf[r0 - a] + lf[c0 - a] + lf[r1 - c0 + a])
@@ -235,22 +235,28 @@ def fisher_exact_2x2(table: ContingencyTable) -> PValue:
     return PValue(min(1.0, mass), TestMethod.FISHER_EXACT)
 
 
-def _paired_counts(row_labels: np.ndarray, col_labels: np.ndarray, n_rows: int,
-                   n_cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Tabulate row labels against a uniformly shuffled copy of col labels."""
-    shuffled = rng.permutation(col_labels)
-    flat = np.bincount(row_labels * n_cols + shuffled, minlength=n_rows * n_cols)
-    return flat.reshape(n_rows, n_cols)
+def _draw_tables(rows: np.ndarray, cols: np.ndarray, count: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Draw `count` tables, shape (count, r, c), from the fixed-margins null.
+
+    Patefield's exact sampler (Appl. Stat. 30:91, AS 159): each cell is
+    hypergeometric given the margins that the cells drawn before it leave.
+    """
+    tables = np.zeros((count, rows.size, cols.size), dtype=np.int64)
+    tables[:, -1] = cols  # the last row holds what the columns have left
+    for i, need in enumerate(rows[:-1]):
+        for j in range(cols.size - 1):
+            rest = tables[:, -1, j + 1:].sum(1)
+            tables[:, i, j] = rng.hypergeometric(tables[:, -1, j], rest, need)
+            need -= tables[:, i, j]
+        tables[:, i, -1] = need
+        tables[:, -1] -= tables[:, i]
+    return tables
 
 
 def generate_table_fixed_margins(row_sums, col_sums,
                                  rng: np.random.Generator) -> ContingencyTable:
-    """Draw a table from the fixed-margins independence null.
-
-    Construction: RI copies of each row label paired element-wise with a
-    uniformly shuffled multiset of column labels, then tabulated. Margins of
-    the result equal the inputs exactly.
-    """
+    """One draw of `monte_carlo_independence`'s fixed-margins null sampler."""
     rows = np.asarray(row_sums, dtype=np.int64)
     cols = np.asarray(col_sums, dtype=np.int64)
     if np.any(rows < 0) or np.any(cols < 0):
@@ -260,40 +266,34 @@ def generate_table_fixed_margins(row_sums, col_sums,
         raise ValueError(f"margin mismatch: row sum {n} != column sum {int(cols.sum())}")
     if n == 0:
         raise ValueError("margins must sum to a positive total")
-    row_labels = np.repeat(np.arange(rows.size), rows)
-    col_labels = np.repeat(np.arange(cols.size), cols)
-    cells = _paired_counts(row_labels, col_labels, rows.size, cols.size, rng)
-    return ContingencyTable(cells)
+    return ContingencyTable(_draw_tables(rows, cols, 1, rng)[0])
 
 
 def monte_carlo_independence(table: ContingencyTable,
                              resamples: int = DEFAULT_RESAMPLES,
                              seed: int = 0) -> PValue:
-    """Permutation p-value for independence in an r x c table.
+    """Monte Carlo p-value for independence in an r x c table.
 
     The extremeness statistic is the table's log-probability under fixed
     margins; p = (1 + #{resampled tables at least as extreme}) / (1 + R),
-    which can never reach 0. Resample i draws from substream (seed, i).
+    which can never reach 0. All R tables come from substream (seed, 0).
     """
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
+    if resamples > MAX_RESAMPLES:
+        raise CapacityError(f"resamples must be <= {MAX_RESAMPLES}, got {resamples}")
     if table.total < 1:
         raise ValueError("table must contain at least one observation")
-    rows = table.row_sums
-    cols = table.col_sums
-    n_rows, n_cols = table.cells.shape
     lf = _log_factorials(table.total)
-    # Margins are fixed across resamples, so only the cell term varies.
-    cell_term_obs = float(lf[table.cells].sum())
-    row_labels = np.repeat(np.arange(n_rows), rows)
-    col_labels = np.repeat(np.arange(n_cols), cols)
+    # Margins are fixed, so only the cell term varies, reduced alike for the
+    # observed table: logP' <= logP_obs + tol <=> cell term' >= obs term - tol
+    threshold = lf[table.cells[None]].sum(axis=(1, 2))[0] - _MC_TIE_TOL
+    rng = substream(seed, 0, LANE_RESAMPLES)
     at_least_as_extreme = 0
-    for i in range(resamples):
-        rng = substream(seed, i, LANE_RESAMPLES)
-        cells = _paired_counts(row_labels, col_labels, n_rows, n_cols, rng)
-        # logP' <= logP_obs + tol  <=>  cell term' >= observed cell term - tol
-        if float(lf[cells].sum()) >= cell_term_obs - _MC_TIE_TOL:
-            at_least_as_extreme += 1
+    for start in range(0, resamples, _MC_BLOCK):
+        tables = _draw_tables(table.row_sums, table.col_sums,
+                              min(_MC_BLOCK, resamples - start), rng)
+        at_least_as_extreme += int((lf[tables].sum(axis=(1, 2)) >= threshold).sum())
     p = (1 + at_least_as_extreme) / (1 + resamples)
     return PValue(p, TestMethod.MONTE_CARLO, resamples=resamples)
 

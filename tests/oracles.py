@@ -1,12 +1,14 @@
 """Independent reference implementations the tests check against.
 
 Everything here is deliberately naive: exact rational hypergeometric
-enumeration, direct factorials, and Simpson quadrature of the chi-square
-density. None of it shares code with the package numerics it validates.
+enumeration of 2x2 and r x c tables, direct factorials, and Simpson
+quadrature of the chi-square density. None of it shares code with the
+package numerics it validates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -37,6 +39,63 @@ def fisher_two_sided_enum(cells) -> float:
         if p <= threshold:
             total += p
     return float(total)
+
+
+def _tables_with_margins(row_sums, col_rem):
+    """Every table with these row sums whose columns sum to col_rem."""
+    if not row_sums:
+        yield ()
+        return
+    for row in itertools.product(*(range(c + 1) for c in col_rem)):
+        if sum(row) == row_sums[0]:
+            left = tuple(c - x for c, x in zip(col_rem, row))
+            for rest in _tables_with_margins(row_sums[1:], left):
+                yield (row,) + rest
+
+
+def rxc_tables_enum(row_sums, col_sums) -> dict[tuple, Fraction]:
+    """Exact probability of every r x c table with the given margins.
+
+    Under the fixed-margins independence null a table's probability is the
+    product over rows of the multivariate hypergeometric mass of drawing
+    that row's cells from the columns' remaining counts.
+    """
+    row_sums = tuple(int(r) for r in row_sums)
+    col_sums = tuple(int(c) for c in col_sums)
+    tables = {}
+    for rows in _tables_with_margins(row_sums, col_sums):
+        prob = Fraction(1)
+        col_rem = col_sums
+        for row in rows:
+            ways = math.prod(math.comb(c, x) for c, x in zip(col_rem, row))
+            prob *= Fraction(ways, math.comb(sum(col_rem), sum(row)))
+            col_rem = tuple(c - x for c, x in zip(col_rem, row))
+        tables[rows] = prob
+    return tables
+
+
+def rxc_exact_pvalue_enum(cells) -> float:
+    """Exact independence p-value for an r x c table by full enumeration.
+
+    Sums the probability of every table with the observed margins that is
+    no more probable than the observed one (1e-7 relative tie tolerance).
+    """
+    cells = np.asarray(cells, dtype=np.int64)
+    tables = rxc_tables_enum(cells.sum(axis=1), cells.sum(axis=0))
+    threshold = tables[tuple(map(tuple, cells.tolist()))] * (1 + TIE)
+    return float(sum(p for p in tables.values() if p <= threshold))
+
+
+def random_rxc_tables(shapes, n_each: int, max_total: int, seed: int) -> list[np.ndarray]:
+    """Seeded battery of random tables of each shape, totals up to max_total."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for rows, cols in shapes:
+        for _ in range(n_each):
+            total = int(rng.integers(4, max_total + 1))
+            probs = rng.dirichlet(np.ones(rows * cols))
+            tables.append(rng.multinomial(total, probs).reshape(rows, cols))
+    return tables
 
 
 def table_log_probability_factorials(cells) -> float:

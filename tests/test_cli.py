@@ -142,6 +142,13 @@ class TestConfigValidation:
         code, _, err = run_cli(capsys, "example", "bell", "--resamples", "0")
         assert code == 2
 
+    def test_resamples_above_cap_is_checkpoint_error(self, capsys):
+        code, out, _ = run_cli(capsys, "example", "teleport", "--shots", "500",
+                               "--resamples", "1000000000000", "--format", "json")
+        assert code == 1
+        [checkpoint] = json.loads(out)["checkpoints"]
+        assert checkpoint["error"].startswith("CapacityError")
+
     def test_program_config_validation_direct(self):
         with pytest.raises(ValueError):
             ProgramConfig(alpha=0.0)

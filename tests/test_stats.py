@@ -1,22 +1,30 @@
 """Statistical kernel tests: chi-square, incomplete gamma, Fisher, Monte Carlo."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     chi_square_sf_quadrature,
     fisher_two_sided_enum,
     random_2x2_tables,
+    random_rxc_tables,
+    rxc_exact_pvalue_enum,
+    rxc_tables_enum,
     table_log_probability_factorials,
 )
 from qassert._rng import substream
-from qassert.errors import InvalidExpectedError
+from qassert.errors import CapacityError, InvalidExpectedError
 from qassert.stats import (
+    MAX_RESAMPLES,
     ContingencyTable,
     PValue,
     TestMethod,
+    _draw_tables,
     chi_square_gof_pvalue,
     chi_square_statistic,
     fisher_exact_2x2,
@@ -148,6 +156,14 @@ class TestFisherExact:
         with pytest.raises(ValueError):
             fisher_exact_2x2(table([[1, 2, 3], [4, 5, 6]]))
 
+    def test_zero_margin_is_exactly_one(self):
+        # a zero row or column margin leaves a single feasible table
+        for n in range(1, 151):
+            for a in range(n + 1):
+                for cells in ([[a, n - a], [0, 0]], [[0, 0], [a, n - a]],
+                              [[a, 0], [n - a, 0]], [[0, a], [0, n - a]]):
+                    assert fisher_exact_2x2(table(cells)).value == 1.0, cells
+
     def test_transpose_and_row_swap_invariance(self):
         for cells in random_2x2_tables(25, 400, seed=99):
             p = fisher_exact_2x2(table(cells)).value
@@ -227,6 +243,16 @@ class TestGenerateTableFixedMargins:
         with pytest.raises(ValueError):
             generate_table_fixed_margins([0, 0], [0, 0], substream(0, 0))
 
+    def test_frequencies_fit_exact_table_probabilities(self):
+        rows, cols, draws = [3, 4], [2, 3, 2], 20000
+        exact = rxc_tables_enum(rows, cols)
+        tables = _draw_tables(np.array(rows), np.array(cols), draws, substream(3, 0))
+        observed = Counter(tuple(map(tuple, t)) for t in tables.tolist())
+        assert set(observed) <= set(exact)
+        statistic = sum((observed[t] - draws * float(p)) ** 2 / (draws * float(p))
+                        for t, p in exact.items())
+        assert chi_square_sf_quadrature(statistic, len(exact) - 1) > 1e-3
+
 
 class TestMonteCarlo:
     def test_unique_table_ties_everywhere(self):
@@ -268,9 +294,23 @@ class TestMonteCarlo:
             close += abs(p_mc - p_fisher) <= 0.03
         assert close >= 11
 
+    def test_rxc_tables_match_exact_enumeration(self):
+        resamples = 9999
+        tables = random_rxc_tables([(2, 3), (3, 3), (2, 4)], 8, 15, seed=1981)
+        for i, cells in enumerate(tables):
+            exact = rxc_exact_pvalue_enum(cells)
+            p_mc = monte_carlo_independence(table(cells), resamples, seed=i).value
+            bound = 4 * math.sqrt(exact * (1 - exact) / resamples) + 1 / (resamples + 1)
+            assert abs(p_mc - exact) <= bound, (cells.tolist(), p_mc, exact)
+
     def test_zero_resamples_rejected(self):
         with pytest.raises(ValueError):
             monte_carlo_independence(table([[1, 0], [0, 1]]), resamples=0)
+
+    def test_resamples_above_cap_rejected(self):
+        with pytest.raises(CapacityError):
+            monte_carlo_independence(table([[1, 2, 3], [4, 5, 6]]),
+                                     resamples=MAX_RESAMPLES + 1)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
@@ -281,6 +321,35 @@ class TestMonteCarlo:
         a = monte_carlo_independence(tbl, resamples=999, seed=7).value
         b = monte_carlo_independence(tbl, resamples=999, seed=7).value
         assert a == b
+
+
+@st.composite
+def margin_pairs(draw):
+    """Row and column margins of r, c <= 6 with one total <= 200, zeros allowed."""
+    total = draw(st.integers(1, 200))
+
+    def split(parts):
+        cuts = draw(st.lists(st.integers(0, total), min_size=parts - 1,
+                             max_size=parts - 1))
+        return np.diff([0, *sorted(cuts), total])
+
+    return split(draw(st.integers(1, 6))), split(draw(st.integers(1, 6)))
+
+
+class TestSamplerProperties:
+    @settings(deadline=None)
+    @given(margins=margin_pairs(), seed=st.integers(0, 2**63),
+           resamples=st.integers(1, 2100))
+    def test_margins_exact_and_pvalue_reproducible(self, margins, seed, resamples):
+        rows, cols = margins
+        tables = _draw_tables(rows, cols, 64, substream(seed, 0))
+        assert np.all(tables >= 0)
+        assert np.all(tables.sum(axis=2) == rows)
+        assert np.all(tables.sum(axis=1) == cols)
+        observed = ContingencyTable(tables[0])
+        p = monte_carlo_independence(observed, resamples, seed=seed).value
+        assert 0.0 <= p <= 1.0
+        assert monte_carlo_independence(observed, resamples, seed=seed).value == p
 
 
 class TestLegacyChisqAdd1:
