@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ._rng import STREAM_VERSION
 from .assertions import (
     DEFAULT_ALPHA,
     AssertionDirective,
@@ -162,6 +163,7 @@ def render_report(report: RunReport, fmt: str = TEXT) -> str:
                 "alpha": report.config.alpha,
                 "resamples": report.config.resamples,
                 "legacy_chisq": report.config.legacy_chisq,
+                "stream_version": STREAM_VERSION,
             },
             "checkpoints": [_checkpoint_json(c) for c in report.checkpoints],
             "summary": {

@@ -1,10 +1,11 @@
 """Shot sampling and exact outcome distributions for circuit prefixes.
 
-`sample` is the workhorse the assertions build on: it executes a circuit
-prefix and tallies full-register measurement outcomes over many shots.
-`exact_distribution` computes the same distribution in closed form (branching
-over mid-circuit measurement outcomes) and serves as the reference the
-sampled distributions converge to as shots grow.
+`sample` is the workhorse the assertions build on: it walks a circuit
+prefix once, splitting its shots at mid-circuit measurements, and tallies
+full-register outcomes with one multinomial draw per leaf of the walk.
+`exact_distribution` walks the same prefix with probability weights
+instead of shots and serves as the reference the sampled distributions
+converge to as shots grow.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 
 from ._rng import LANE_SHOTS, substream
 from .errors import CapacityError
-from .sim import Circuit, Measurement, StateVector, apply_gate, bitstring, new_state, run_trajectory
+from .sim import _BRANCH_EPS, Circuit, Measurement, bitstring, walk
+from .sim import run_trajectory  # noqa: F401  bench/spans.py traces it under this name
 
 DEFAULT_SHOTS = 1000
 
@@ -49,64 +51,48 @@ class MeasurementDistribution:
         return self.counts.get(key, 0) / self.shots
 
 
-def _has_measurement(circuit: Circuit, upto: int | None) -> bool:
-    items = circuit.items if upto is None else circuit.items[:upto]
-    return any(isinstance(item, Measurement) for item in items)
-
-
-def _draw_index(cumulative: np.ndarray, rng: np.random.Generator) -> int:
-    # clamp: float error can leave cumulative[-1] a hair below the draw
-    index = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    return min(index, cumulative.size - 1)
+MAX_SHOTS = 10**6
 
 
 def sample(circuit: Circuit, upto: int | None = None, shots: int = DEFAULT_SHOTS,
-           seed: int = 0, force_trajectory: bool = False) -> MeasurementDistribution:
+           seed: int = 0) -> MeasurementDistribution:
     """Sample `shots` full-register measurements of the prefix items[:upto].
 
-    Shot i draws from the substream derived from (seed, i), so results are
-    deterministic and independent of shot execution order. A prefix without
-    mid-circuit measurements is evolved once and sampled from its final
-    probabilities; otherwise each shot runs its own stochastic trajectory.
-    `force_trajectory` exists to exercise the per-shot path on
-    measurement-free circuits (testing/diagnostics).
+    Every draw comes from one generator, substream 0 of `seed`. The prefix
+    is walked once in split mode (`sim.walk`): mid-circuit measurements
+    split the shots binomially, and each leaf's shots are drawn as one
+    multinomial over its final probabilities. A measurement-free prefix is
+    a single leaf.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise CapacityError(f"{shots} shots exceed the cap of {MAX_SHOTS}")
     n = circuit.n_qubits
+    rng = substream(seed, 0, LANE_SHOTS)
     counts: dict[str, int] = {}
-    if _has_measurement(circuit, upto) or force_trajectory:
-        for i in range(shots):
-            rng = substream(seed, i, LANE_SHOTS)
-            state, _ = run_trajectory(circuit, upto, rng)
-            cumulative = np.cumsum(state.probabilities())
-            index = _draw_index(cumulative, rng)
+    for state, leaf_shots, _ in walk(circuit, upto, rng, shots):
+        probs = state.probabilities()
+        probs /= probs.sum()  # numpy rejects probabilities summing a hair above 1
+        drawn = rng.multinomial(leaf_shots, probs)
+        hit = np.flatnonzero(drawn)
+        for index, count in zip(hit.tolist(), drawn[hit].tolist()):
             key = bitstring(index, n)
-            counts[key] = counts.get(key, 0) + 1
-    else:
-        state, _ = run_trajectory(circuit, upto, substream(seed, 0, LANE_SHOTS))
-        cumulative = np.cumsum(state.probabilities())
-        for i in range(shots):
-            rng = substream(seed, i, LANE_SHOTS)
-            index = _draw_index(cumulative, rng)
-            key = bitstring(index, n)
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + count
     return MeasurementDistribution(n, shots, counts)
 
 
 MAX_EXACT_BRANCHES = 16
-_BRANCH_EPS = 1e-15
 
 
 def exact_distribution(circuit: Circuit, upto: int | None = None) -> dict[str, float]:
     """Exact full-register outcome probabilities for the prefix items[:upto].
 
-    Mid-circuit measurements split the evolution into weighted branches
-    (at most 2^16 of them); zero-probability branches are pruned. Returned
+    The prefix is walked in exact mode (`sim.walk`): mid-circuit
+    measurements split the evolution into weighted branches (at most 2^16
+    of them), and zero-probability branches are pruned. Returned
     probabilities sum to 1 within 1e-9.
     """
-    from .assertions import AssertionDirective
-
     items = circuit.items if upto is None else circuit.items[:upto]
     n_meas = sum(1 for item in items if isinstance(item, Measurement))
     if n_meas > MAX_EXACT_BRANCHES:
@@ -116,42 +102,12 @@ def exact_distribution(circuit: Circuit, upto: int | None = None) -> dict[str, f
 
     n = circuit.n_qubits
     result: dict[str, float] = {}
-    # (state, classical bits, written bits, next item position, branch weight)
-    stack: list[tuple[StateVector, list[int], set[int], int, float]] = [
-        (new_state(n), [0] * circuit.n_classical_bits, set(), 0, 1.0)
-    ]
-    while stack:
-        state, bits, written, pos, weight = stack.pop()
-        while pos < len(items):
-            item = items[pos]
-            pos += 1
-            if isinstance(item, AssertionDirective):
-                continue
-            if isinstance(item, Measurement):
-                tbit = n - 1 - item.qubit
-                idx = np.arange(state.amplitudes.size)
-                sel1 = (idx >> tbit) & 1 == 1
-                p1 = float(np.sum(np.abs(state.amplitudes[sel1]) ** 2))
-                for outcome, p, sel in ((1, p1, sel1), (0, 1.0 - p1, ~sel1)):
-                    if p <= _BRANCH_EPS:
-                        continue
-                    branch = state.copy()
-                    branch.amplitudes[~sel] = 0.0
-                    branch.amplitudes /= np.sqrt(p)
-                    branch_bits = list(bits)
-                    branch_bits[item.cbit] = outcome
-                    stack.append((branch, branch_bits, written | {item.cbit},
-                                  pos, weight * p))
-                break
-            cond = item.classical_condition
-            if cond is not None and bits[cond] != 1:
-                continue
-            apply_gate(state, item)
-        else:
-            probs = weight * state.probabilities()
-            for index in np.nonzero(probs > _BRANCH_EPS)[0]:
-                key = bitstring(int(index), n)
-                result[key] = result.get(key, 0.0) + float(probs[index])
+    for state, weight, _ in walk(circuit, upto):
+        probs = weight * state.probabilities()
+        hit = np.flatnonzero(probs > _BRANCH_EPS)
+        for index, p in zip(hit.tolist(), probs[hit].tolist()):
+            key = bitstring(index, n)
+            result[key] = result.get(key, 0.0) + p
     return result
 
 

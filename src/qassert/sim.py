@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, CircuitError, NumericalError
+from .errors import CapacityError, CircuitError
 
 QUBIT_CAP = 20
 
@@ -143,7 +143,8 @@ class StateVector:
         return StateVector(self.n_qubits, self.amplitudes.copy())
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        probs = np.abs(self.amplitudes)
+        return np.square(probs, out=probs)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -214,66 +215,90 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return state
 
 
-def outcome_probability(state: StateVector, q: int, bit: int) -> float:
-    """Probability that measuring qubit q yields `bit`."""
+# A measurement branch at or below this probability is treated as impossible.
+_BRANCH_EPS = 1e-15
+
+
+def _prob_one(state: StateVector, q: int) -> float:
+    """Probability that measuring qubit q reads 1, with near-impossible
+    outcomes (at or below _BRANCH_EPS) snapped to exactly 0 or 1."""
     _check_qubit(state, q)
-    pos = state.n_qubits - 1 - q
-    idx = np.arange(state.amplitudes.size)
-    sel = (idx >> pos) & 1 == bit
-    return float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
+    ones = state.amplitudes.reshape(1 << q, 2, -1)[:, 1, :]
+    p1 = min(max(float(np.vdot(ones, ones).real), 0.0), 1.0)
+    if p1 <= _BRANCH_EPS:
+        return 0.0
+    return 1.0 if 1.0 - p1 <= _BRANCH_EPS else p1
+
+
+def _collapse(state: StateVector, q: int, bit: int, p: float) -> StateVector:
+    """Project qubit q onto `bit`, an outcome of probability p > 0, in place."""
+    state.amplitudes.reshape(1 << q, 2, -1)[:, 1 - bit, :] = 0.0
+    state.amplitudes /= np.sqrt(p)
+    return state
 
 
 def measure_qubit(state: StateVector, q: int,
                   rng: np.random.Generator) -> tuple[int, StateVector]:
     """Projective measurement: sample an outcome, collapse, renormalize."""
-    _check_qubit(state, q)
-    pos = state.n_qubits - 1 - q
-    idx = np.arange(state.amplitudes.size)
-    sel1 = (idx >> pos) & 1 == 1
-    p1 = float(np.sum(np.abs(state.amplitudes[sel1]) ** 2))
+    p1 = _prob_one(state, q)
     bit = 1 if rng.random() < p1 else 0
-    p = p1 if bit == 1 else 1.0 - p1
-    if p <= 0.0:
-        raise NumericalError(
-            f"measurement of qubit {q} hit a zero-probability branch; "
-            "state is not normalized")
-    keep = sel1 if bit == 1 else ~sel1
-    state.amplitudes[~keep] = 0.0
-    state.amplitudes /= np.sqrt(p)
-    return bit, state
+    return bit, _collapse(state, q, bit, p1 if bit else 1.0 - p1)
+
+
+def walk(circuit: Circuit, upto: int | None = None,
+         rng: np.random.Generator | None = None, shots: int = 1):
+    """Depth-first walk of the prefix items[:upto], branching at measurements.
+
+    Yields one (state, mass, bits) leaf per live branch, where `bits` maps
+    each written classical bit to its value on that branch. Gates with a
+    classical condition fire only when their bit reads 1; reading a bit no
+    measurement has written is a circuit-validity error. Assertion
+    directives are skipped.
+
+    Exact mode (no `rng`): mass is the branch's probability, and a
+    measurement sends p1 and 1 - p1 of it down its two outcomes.
+    Split mode: mass is a shot count, starting at `shots`, and a
+    measurement sends `rng.binomial(mass, p1)` shots down the 1-branch and
+    the rest down the 0-branch. A branch with no mass is never walked, so
+    split mode has at most min(2^measurements, shots) leaves. The state is
+    copied only where both outcomes stay live.
+    """
+    items = circuit.items if upto is None else circuit.items[:upto]
+    stack = [(new_state(circuit.n_qubits), {}, 0, 1.0 if rng is None else shots)]
+    while stack:
+        state, bits, pos, mass = stack.pop()
+        for pos in range(pos, len(items)):
+            item = items[pos]
+            if isinstance(item, Measurement):
+                q = item.qubit
+                p1 = _prob_one(state, q)
+                m1 = mass * p1 if rng is None else int(rng.binomial(mass, p1))
+                m0 = mass - m1
+                if m1 and m0:
+                    other = _collapse(state.copy(), q, 0, 1.0 - p1)
+                    stack.append((other, {**bits, item.cbit: 0}, pos + 1, m0))
+                bit = 1 if m1 else 0
+                _collapse(state, q, bit, p1 if bit else 1.0 - p1)
+                bits[item.cbit] = bit
+                mass = m1 if bit else m0
+            elif isinstance(item, GateOp):
+                cond = item.classical_condition
+                if cond is not None:
+                    if cond not in bits:
+                        raise CircuitError(f"conditional gate reads classical bit "
+                                           f"{cond} before it is written")
+                    if bits[cond] != 1:
+                        continue
+                apply_gate(state, item)
+        yield state, mass, bits
 
 
 def run_trajectory(circuit: Circuit, upto: int | None,
                    rng: np.random.Generator) -> tuple[StateVector, list[int]]:
-    """Execute one stochastic trajectory of the circuit prefix items[:upto].
-
-    Gates with a classical condition fire only when the referenced bit is 1;
-    reading a bit no measurement has written is a circuit-validity error.
-    Assertion directives inside the prefix are skipped, not executed.
-    """
-    from .assertions import AssertionDirective
-
-    items = circuit.items if upto is None else circuit.items[:upto]
-    state = new_state(circuit.n_qubits)
-    bits = [0] * circuit.n_classical_bits
-    written: set[int] = set()
-    for item in items:
-        if isinstance(item, AssertionDirective):
-            continue
-        if isinstance(item, Measurement):
-            bit, _ = measure_qubit(state, item.qubit, rng)
-            bits[item.cbit] = bit
-            written.add(item.cbit)
-            continue
-        cond = item.classical_condition
-        if cond is not None:
-            if cond not in written:
-                raise CircuitError(
-                    f"conditional gate reads classical bit {cond} before it is written")
-            if bits[cond] != 1:
-                continue
-        apply_gate(state, item)
-    return state, bits
+    """Execute one stochastic trajectory of the circuit prefix items[:upto]:
+    the walk of a single shot. Unwritten classical bits read 0."""
+    state, _, bits = next(walk(circuit, upto, rng))
+    return state, [bits.get(i, 0) for i in range(circuit.n_classical_bits)]
 
 
 def bitstring(index: int, n_qubits: int) -> str:

@@ -134,6 +134,13 @@ def chi_square_sf_quadrature(x: float, df: int) -> float:
     return float(min(1.0, (h / 3.0) * np.sum(weights * pdf)))
 
 
+def binomial_two_sided_pvalue(k: int, n: int, p: Fraction) -> float:
+    """Exact two-sided binomial test: the total probability of every count
+    no more likely than k, in exact rational arithmetic."""
+    probs = [math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)]
+    return float(sum(q for q in probs if q <= probs[k] * (1 + TIE)))
+
+
 def tv_distance(counts: dict[str, int], shots: int, exact: dict[str, float]) -> float:
     """Total variation distance between an empirical and an exact distribution."""
     keys = set(counts) | set(exact)

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, flags, exit codes, report formats."""
 
 import json
+import time
 
 import pytest
 
@@ -148,6 +149,14 @@ class TestConfigValidation:
         assert code == 1
         [checkpoint] = json.loads(out)["checkpoints"]
         assert checkpoint["error"].startswith("CapacityError")
+
+    def test_shots_above_cap_is_checkpoint_error(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "example", "bell", "--shots", "1000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert "ERROR CapacityError" in out
+        assert "Traceback" not in out + err
 
     def test_program_config_validation_direct(self):
         with pytest.raises(ValueError):

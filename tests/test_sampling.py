@@ -1,13 +1,23 @@
 """Sampling, exact distributions, and marginalization."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from oracles import tv_distance
+from oracles import binomial_two_sided_pvalue, chi_square_sf_quadrature, tv_distance
 from qassert.errors import CapacityError
 from qassert.examples import build_qft
 from qassert.assertions import AssertionDirective
-from qassert.sampling import MeasurementDistribution, exact_distribution, marginalize, sample
+from qassert.parser import parse_circuit
+from qassert.sampling import (
+    MAX_EXACT_BRANCHES,
+    MAX_SHOTS,
+    MeasurementDistribution,
+    exact_distribution,
+    marginalize,
+    sample,
+)
 from qassert.sim import Circuit, GateOp, Measurement
 
 
@@ -52,6 +62,10 @@ class TestSample:
         # measure then conditionally flip: every shot ends in |0>
         dist = sample(circuit, shots=200, seed=5)
         assert dist.counts == {"0": 200}
+
+    def test_shots_above_cap_rejected(self):
+        with pytest.raises(CapacityError):
+            sample(bell(), shots=MAX_SHOTS + 1, seed=0)
 
     def test_no_zero_count_keys(self):
         dist = sample(bell(), shots=50, seed=3)
@@ -174,11 +188,88 @@ class TestConvergence:
         assert improved >= 9
 
     def test_trajectory_and_state_sampling_agree(self):
-        # Same measurement-free circuit through both sampling paths.
+        # The sampled distribution against the exact one, at 10,000 shots.
         circuit = bell()
-        by_state = sample(circuit, shots=10000, seed=11)
-        by_trajectory = sample(circuit, shots=10000, seed=22, force_trajectory=True)
-        tv = 0.5 * sum(
-            abs(by_state.counts.get(k, 0) - by_trajectory.counts.get(k, 0)) / 10000
-            for k in set(by_state.counts) | set(by_trajectory.counts))
-        assert tv < 0.05
+        sampled = sample(circuit, shots=10000, seed=22)
+        exact = exact_distribution(circuit)
+        assert tv_distance(sampled.counts, 10000, exact) < 0.05
+
+
+TELEPORT = """
+qubits 3
+rx 1.234 0
+h 1
+cx 1 2
+cx 0 1
+h 0
+measure 0 -> 0
+measure 1 -> 1
+cif 1 x 2
+cif 0 z 2
+"""
+
+FEEDFORWARD_RESET = """
+qubits 2
+ry 1.1 0
+cx 0 1
+ry 0.7 1
+measure 0 -> 0
+cif 0 x 1
+"""
+
+MEASURED_QFT = """
+qubits 3
+x 0
+ry 0.4 2
+h 0
+cr1 1.5707963267948966 1 0
+cr1 0.7853981633974483 2 0
+h 1
+cr1 1.5707963267948966 2 1
+h 2
+measure 0 -> 0
+measure 1 -> 1
+cif 0 x 1
+measure 2 -> 2
+cif 1 h 2
+"""
+
+
+def reset_loop(rounds):
+    """`rounds` x (h, measure, reset by feed-forward), then a final h."""
+    items = []
+    for _ in range(rounds):
+        items += [GateOp("h", (0,)), Measurement(0, 0),
+                  GateOp("x", (0,), classical_condition=0)]
+    return Circuit(1, 1, items + [GateOp("h", (0,))])
+
+
+class TestShotSplitting:
+    def test_measure_and_reset_loop_past_exact_cap(self):
+        circuit = reset_loop(40)
+        assert 40 > MAX_EXACT_BRANCHES
+        with pytest.raises(CapacityError):
+            exact_distribution(circuit)
+        dist = sample(circuit, shots=400, seed=3)
+        ones = dist.counts.get("1", 0)
+        assert binomial_two_sided_pvalue(ones, 400, Fraction(1, 2)) > 0.01
+
+    @pytest.mark.parametrize("text", [TELEPORT, FEEDFORWARD_RESET, MEASURED_QFT],
+                             ids=["teleport", "feedforward-reset", "measured-qft"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_goodness_of_fit_to_exact(self, text, seed):
+        circuit = parse_circuit(text)
+        exact = exact_distribution(circuit)
+        shots = 10000
+        counts = sample(circuit, shots=shots, seed=seed).counts
+        assert set(counts) <= set(exact)
+        statistic = sum((counts.get(k, 0) - shots * p) ** 2 / (shots * p)
+                        for k, p in exact.items())
+        assert chi_square_sf_quadrature(statistic, len(exact) - 1) > 1e-3
+
+    def test_same_seed_same_counts(self):
+        circuit = parse_circuit(MEASURED_QFT)
+        for seed in (0, 9):
+            a = sample(circuit, shots=3000, seed=seed)
+            b = sample(circuit, shots=3000, seed=seed)
+            assert a.counts == b.counts

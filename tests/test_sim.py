@@ -15,6 +15,7 @@ from qassert.sim import (
     measure_qubit,
     new_state,
     run_trajectory,
+    walk,
 )
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -178,6 +179,38 @@ class TestRunTrajectory:
         state_b, bits_b = run_trajectory(circuit, None, rng_for(42))
         assert bits_a == bits_b
         np.testing.assert_array_equal(state_a.amplitudes, state_b.amplitudes)
+
+
+def five_measurements():
+    items = []
+    for q in range(5):
+        items += [GateOp("h", (q,)), Measurement(q, q)]
+    return Circuit(5, 5, items)
+
+
+class TestWalk:
+    def test_split_mode_leaves_bounded_by_shots(self):
+        for seed in range(20):
+            leaves = list(walk(five_measurements(), None, rng_for(seed), shots=3))
+            assert len(leaves) <= 3
+            assert sum(mass for _, mass, _ in leaves) == 3
+
+    def test_split_mode_leaves_bounded_by_branches(self):
+        leaves = list(walk(teleport_circuit(), None, rng_for(0), shots=10000))
+        assert len(leaves) == 4
+        assert sorted(tuple(sorted(bits.items())) for _, _, bits in leaves) == [
+            ((0, a), (1, b)) for a in (0, 1) for b in (0, 1)]
+
+    def test_exact_mode_masses_sum_to_one(self):
+        leaves = list(walk(five_measurements()))
+        assert len(leaves) == 32
+        assert sum(mass for _, mass, _ in leaves) == pytest.approx(1.0, abs=1e-12)
+
+    def test_impossible_branch_is_not_walked(self):
+        circuit = Circuit(1, 1, [GateOp("x", (0,)), Measurement(0, 0)])
+        [(state, mass, bits)] = walk(circuit, None, rng_for(0), shots=7)
+        assert (mass, bits) == (7, {0: 1})
+        np.testing.assert_allclose(state.amplitudes, [0, 1])
 
 
 def random_gate(rng, n_qubits):
