@@ -69,7 +69,7 @@ def _config_from_args(args: argparse.Namespace) -> ProgramConfig:
     seed = args.seed if args.seed is not None else _default_seed()
     return ProgramConfig(shots=args.shots, seed=seed, alpha=args.alpha,
                          resamples=args.resamples,
-                         legacy_chisq=args.legacy_chisq, fmt=args.fmt)
+                         legacy_chisq=args.legacy_chisq)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -108,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     report = run_program(circuit, config)
-    sys.stdout.write(render_report(report, config.fmt))
+    sys.stdout.write(render_report(report, args.fmt))
     return report.exit_status()
 
 

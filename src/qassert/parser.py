@@ -30,6 +30,7 @@ from .sim import (
     FIXED_GATES,
     GateOp,
     Measurement,
+    PARAMETERIZED,
     QUBIT_CAP,
     ROTATION_GATES,
 )
@@ -111,7 +112,7 @@ class _Parser:
             return self.parse_qubit(stmt, offset + pos)
 
         kind = tokens[0][0]
-        if kind in FIXED_GATES or kind in {"rx", "ry", "rz", "r1"}:
+        if kind in FIXED_GATES or kind in ROTATION_GATES:
             if kind in FIXED_GATES:
                 self.expect_arity(stmt, tokens, 1, f"{kind} Q")
                 angle = None
@@ -347,7 +348,7 @@ def render_circuit(circuit: Circuit) -> str:
                 args = f"{item.controls[0]} {item.targets[0]}"
             else:
                 args = " ".join(str(q) for q in item.targets)
-            if kind in ROTATION_GATES or kind == "cr1":
+            if kind in PARAMETERIZED:
                 lines.append(f"{prefix}{kind} {item.angle!r} {args}")
             else:
                 lines.append(f"{prefix}{kind} {args}")

@@ -37,7 +37,6 @@ class ProgramConfig:
     alpha: float = DEFAULT_ALPHA
     resamples: int = DEFAULT_RESAMPLES
     legacy_chisq: bool = False
-    fmt: str = TEXT
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -46,8 +45,6 @@ class ProgramConfig:
             raise ValueError(f"resamples must be >= 1, got {self.resamples}")
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.fmt not in (TEXT, JSON):
-            raise ValueError(f"format must be 'text' or 'json', got {self.fmt!r}")
 
 
 @dataclass

@@ -164,54 +164,43 @@ def _check_qubit(state: StateVector, q: int) -> None:
         raise IndexError(f"qubit index {q} out of range for {state.n_qubits} qubits")
 
 
-def _apply_single(state: StateVector, matrix: np.ndarray, target: int,
-                  controls: tuple[int, ...]) -> None:
-    n = state.n_qubits
-    tbit = n - 1 - target
-    idx = np.arange(state.amplitudes.size)
-    mask = (idx >> tbit) & 1 == 0
+def _half(state: StateVector, q: int, bit: int,
+          controls: tuple[int, ...] = ()) -> np.ndarray:
+    """Writable view of the amplitudes where qubit q reads `bit` and every
+    control reads 1. Axis i of the (2,)*n tensor is qubit i; the trailing
+    Ellipsis keeps the result a (0-d) view when every axis is fixed."""
+    index = [slice(None)] * state.n_qubits
     for c in controls:
-        mask &= (idx >> (n - 1 - c)) & 1 == 1
-    i0 = idx[mask]
-    i1 = i0 | (1 << tbit)
-    a0 = state.amplitudes[i0]
-    a1 = state.amplitudes[i1]
-    state.amplitudes[i0] = matrix[0, 0] * a0 + matrix[0, 1] * a1
-    state.amplitudes[i1] = matrix[1, 0] * a0 + matrix[1, 1] * a1
+        index[c] = 1
+    index[q] = bit
+    return state.amplitudes.reshape((2,) * state.n_qubits)[(*index, ...)]
 
 
-def _apply_swap(state: StateVector, q1: int, q2: int) -> None:
-    n = state.n_qubits
-    b1, b2 = n - 1 - q1, n - 1 - q2
-    idx = np.arange(state.amplitudes.size)
-    sel = ((idx >> b1) & 1 == 1) & ((idx >> b2) & 1 == 0)
-    i = idx[sel]
-    j = i ^ ((1 << b1) | (1 << b2))
-    state.amplitudes[i], state.amplitudes[j] = (state.amplitudes[j],
-                                                state.amplitudes[i].copy())
+def _gate_matrix(gate: GateOp) -> np.ndarray:
+    """The 2x2 matrix a gate applies to its target; cx, cz and cr1 use
+    the matrix of x, z and r1."""
+    kind = gate.kind[1:] if gate.kind in CONTROLLED_GATES else gate.kind
+    if kind in FIXED_GATES:
+        return _FIXED_MATRICES[kind]
+    return _rotation_matrix(kind, gate.angle)
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply the gate's unitary in place; classical guards are the caller's job."""
     for q in gate.qubits():
         _check_qubit(state, q)
-    kind = gate.kind
-    if kind == "swap":
-        _apply_swap(state, gate.targets[0], gate.targets[1])
-    elif kind in FIXED_GATES:
-        _apply_single(state, _FIXED_MATRICES[kind], gate.targets[0], gate.controls)
-    elif kind in ROTATION_GATES:
-        _apply_single(state, _rotation_matrix(kind, gate.angle), gate.targets[0],
-                      gate.controls)
-    elif kind == "cx":
-        _apply_single(state, _FIXED_MATRICES["x"], gate.targets[0], gate.controls)
-    elif kind == "cz":
-        _apply_single(state, _FIXED_MATRICES["z"], gate.targets[0], gate.controls)
-    elif kind == "cr1":
-        _apply_single(state, _rotation_matrix("r1", gate.angle), gate.targets[0],
-                      gate.controls)
-    else:  # unreachable given GateOp validation
-        raise ValueError(f"unknown gate kind {kind!r}")
+    if gate.kind == "swap":
+        # Swapping the two qubit axes exchanges the |01> and |10> blocks.
+        a, b = gate.targets
+        a0b1, a1b0 = _half(state, a, 0, (b,)), _half(state, b, 0, (a,))
+        a0b1[...], a1b0[...] = a1b0.copy(), a0b1.copy()
+        return state
+    m = _gate_matrix(gate)
+    v0 = _half(state, gate.targets[0], 0, gate.controls)
+    v1 = _half(state, gate.targets[0], 1, gate.controls)
+    new0 = m[0, 0] * v0 + m[0, 1] * v1
+    v1[...] = m[1, 0] * v0 + m[1, 1] * v1
+    v0[...] = new0
     return state
 
 
@@ -223,7 +212,7 @@ def _prob_one(state: StateVector, q: int) -> float:
     """Probability that measuring qubit q reads 1, with near-impossible
     outcomes (at or below _BRANCH_EPS) snapped to exactly 0 or 1."""
     _check_qubit(state, q)
-    ones = state.amplitudes.reshape(1 << q, 2, -1)[:, 1, :]
+    ones = _half(state, q, 1)
     p1 = min(max(float(np.vdot(ones, ones).real), 0.0), 1.0)
     if p1 <= _BRANCH_EPS:
         return 0.0
@@ -232,7 +221,7 @@ def _prob_one(state: StateVector, q: int) -> float:
 
 def _collapse(state: StateVector, q: int, bit: int, p: float) -> StateVector:
     """Project qubit q onto `bit`, an outcome of probability p > 0, in place."""
-    state.amplitudes.reshape(1 << q, 2, -1)[:, 1 - bit, :] = 0.0
+    _half(state, q, 1 - bit)[...] = 0.0
     state.amplitudes /= np.sqrt(p)
     return state
 

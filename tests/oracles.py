@@ -1,9 +1,10 @@
 """Independent reference implementations the tests check against.
 
 Everything here is deliberately naive: exact rational hypergeometric
-enumeration of 2x2 and r x c tables, direct factorials, and Simpson
-quadrature of the chi-square density. None of it shares code with the
-package numerics it validates.
+enumeration of 2x2 and r x c tables, direct factorials, Simpson
+quadrature of the chi-square density, and full 2^n x 2^n gate unitaries
+built from Kronecker products. None of it shares code with the package
+numerics it validates.
 """
 
 from __future__ import annotations
@@ -157,3 +158,69 @@ def random_2x2_tables(n_tables: int, max_total: int, seed: int) -> list[np.ndarr
         cells = rng.multinomial(total, probs).reshape(2, 2)
         tables.append(cells)
     return tables
+
+
+def _oracle_gate_matrix(kind: str, angle: float | None) -> np.ndarray:
+    """The 2x2 matrix of a one-qubit gate kind (or a controlled kind's base)."""
+    base = {"cx": "x", "cz": "z", "cr1": "r1"}.get(kind, kind)
+    r = math.sqrt(0.5)
+    fixed = {
+        "h": [[r, r], [r, -r]],
+        "x": [[0, 1], [1, 0]],
+        "y": [[0, -1j], [1j, 0]],
+        "z": [[1, 0], [0, -1]],
+        "s": [[1, 0], [0, 1j]],
+        "t": [[1, 0], [0, complex(r, r)]],
+    }
+    if base in fixed:
+        return np.array(fixed[base], dtype=complex)
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    rotations = {
+        "rx": [[c, -1j * s], [-1j * s, c]],
+        "ry": [[c, -s], [s, c]],
+        "rz": [[complex(c, -s), 0], [0, complex(c, s)]],
+        "r1": [[1, 0], [0, complex(math.cos(angle), math.sin(angle))]],
+    }
+    return np.array(rotations[base], dtype=complex)
+
+
+def _kron_on(n: int, factors: dict[int, np.ndarray]) -> np.ndarray:
+    """Kronecker product over qubits 0..n-1 (qubit 0 most significant),
+    with `factors[q]` on qubit q and the identity elsewhere."""
+    out = np.eye(1)
+    for q in range(n):
+        out = np.kron(out, factors.get(q, np.eye(2)))
+    return out
+
+
+def gate_unitary(n: int, kind: str, targets, controls=(), angle=None) -> np.ndarray:
+    """The full 2^n x 2^n unitary of one gate.
+
+    A swap is the permutation exchanging the two qubits' bits. Any other
+    gate is I - P + P (M on the target), where P projects every control
+    onto |1> (P = I without controls) and M is the gate's 2x2 matrix.
+    """
+    dim = 1 << n
+    if kind == "swap":
+        a, b = (n - 1 - q for q in targets)
+        unitary = np.zeros((dim, dim), dtype=complex)
+        for col in range(dim):
+            row = col
+            if (col >> a) & 1 != (col >> b) & 1:
+                row = col ^ (1 << a) ^ (1 << b)
+            unitary[row, col] = 1
+        return unitary
+    one = np.diag([0.0, 1.0])
+    projector = _kron_on(n, {c: one for c in controls})
+    acted = _kron_on(n, {**{c: one for c in controls},
+                         targets[0]: _oracle_gate_matrix(kind, angle)})
+    return np.eye(dim) - projector + acted
+
+
+def evolve_with_unitaries(n: int, amplitudes: np.ndarray, gates) -> np.ndarray:
+    """Multiply `amplitudes` by each gate's full unitary in turn; `gates`
+    holds (kind, targets, controls, angle) tuples."""
+    psi = np.asarray(amplitudes, dtype=complex)
+    for kind, targets, controls, angle in gates:
+        psi = gate_unitary(n, kind, targets, controls, angle) @ psi
+    return psi

@@ -158,13 +158,24 @@ class TestConfigValidation:
         assert "ERROR CapacityError" in out
         assert "Traceback" not in out + err
 
+    def test_table_above_cell_cap_is_checkpoint_error(self, capsys, tmp_path):
+        # 2^7 x 2^7 = 16384 cells, past the Monte Carlo cell cap
+        path = tmp_path / "wide_product.qc"
+        path.write_text("qubits 14\n" + "".join(f"h {q}\n" for q in range(14))
+                        + "assert_product [0 1 2 3 4 5 6] [7 8 9 10 11 12 13]\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 1
+        assert "ERROR CapacityError" in out
+        assert "Traceback" not in out + err
+
     def test_program_config_validation_direct(self):
         with pytest.raises(ValueError):
             ProgramConfig(alpha=0.0)
         with pytest.raises(ValueError):
             ProgramConfig(shots=0)
+        report = run_program(parse_circuit("qubits 1\n"), ProgramConfig())
         with pytest.raises(ValueError):
-            ProgramConfig(fmt="xml")
+            render_report(report, "xml")
 
 
 class TestRenderReport:

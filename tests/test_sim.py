@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import evolve_with_unitaries
 
 from qassert.errors import CapacityError, CircuitError
+from qassert.parser import parse_circuit, render_circuit
 from qassert.sampling import exact_distribution, sample
 from qassert.sim import (
+    PARAMETERIZED,
     Circuit,
     GateOp,
     Measurement,
@@ -213,9 +218,12 @@ class TestWalk:
         np.testing.assert_allclose(state.amplitudes, [0, 1])
 
 
+ONE_QUBIT_KINDS = ["h", "x", "y", "z", "s", "t", "rx", "ry", "rz", "r1"]
+TWO_QUBIT_KINDS = ["cx", "cz", "cr1", "swap"]
+
+
 def random_gate(rng, n_qubits):
-    kind = rng.choice(["h", "x", "y", "z", "s", "t", "rx", "ry", "rz", "r1",
-                       "cx", "cz", "cr1", "swap"])
+    kind = rng.choice(ONE_QUBIT_KINDS + TWO_QUBIT_KINDS)
     qubits = rng.choice(n_qubits, size=2, replace=False)
     angle = float(rng.uniform(-math.pi, math.pi))
     if kind in {"cx", "cz"}:
@@ -259,6 +267,53 @@ class TestInvariants:
         circuit = Circuit(2, 0, [GateOp("x", (0,))])
         dist = sample(circuit, shots=5, seed=0)
         assert dist.counts == {"10": 5}
+
+
+@st.composite
+def gate_circuits(draw):
+    """Gate-only circuits of 1-6 qubits over all 14 gate kinds."""
+    n = draw(st.integers(1, 6))
+    kinds = ONE_QUBIT_KINDS + (TWO_QUBIT_KINDS if n > 1 else [])
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=12)):
+        q0, q1 = draw(st.permutations(range(n)))[:2] if n > 1 else (0, None)
+        angle = (draw(st.floats(-2 * math.pi, 2 * math.pi))
+                 if kind in PARAMETERIZED else None)
+        if kind == "swap":
+            gates.append(GateOp(kind, (q0, q1)))
+        elif kind in TWO_QUBIT_KINDS:
+            gates.append(GateOp(kind, (q1,), controls=(q0,), angle=angle))
+        else:
+            gates.append(GateOp(kind, (q0,), angle=angle))
+    return Circuit(n, 0, gates)
+
+
+class TestKernelOracle:
+    @settings(deadline=None)
+    @given(circuit=gate_circuits(), seed=st.integers(0, 2**32 - 1))
+    # Every qubit axis is indexed when a 1-qubit state meets any gate or a
+    # 2-qubit state meets a controlled gate or a swap.
+    @example(circuit=Circuit(1, 0, [GateOp("h", (0,)), GateOp("rx", (0,), angle=0.7)]),
+             seed=0)
+    @example(circuit=Circuit(2, 0, [GateOp("cx", (0,), controls=(1,)),
+                                    GateOp("cz", (1,), controls=(0,)),
+                                    GateOp("cr1", (0,), controls=(1,), angle=-1.2),
+                                    GateOp("swap", (1, 0))]),
+             seed=1)
+    def test_apply_gate_matches_kronecker_oracle(self, circuit, seed):
+        n = circuit.n_qubits
+        rng = rng_for(seed)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        amps /= np.linalg.norm(amps)
+        state = new_state(n)
+        state.amplitudes = amps.copy()
+        for gate in circuit.items:
+            apply_gate(state, gate)
+        expected = evolve_with_unitaries(
+            n, amps, [(g.kind, g.targets, g.controls, g.angle) for g in circuit.items])
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert parse_circuit(render_circuit(circuit)) == circuit
 
 
 class TestCircuitValidate:

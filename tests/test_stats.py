@@ -21,6 +21,7 @@ from qassert._rng import substream
 from qassert.errors import CapacityError, InvalidExpectedError
 from qassert.stats import (
     MAX_RESAMPLES,
+    MAX_TABLE_CELLS,
     ContingencyTable,
     PValue,
     TestMethod,
@@ -311,6 +312,11 @@ class TestMonteCarlo:
         with pytest.raises(CapacityError):
             monte_carlo_independence(table([[1, 2, 3], [4, 5, 6]]),
                                      resamples=MAX_RESAMPLES + 1)
+
+    def test_table_above_cell_cap_rejected(self):
+        cells = np.ones((2, MAX_TABLE_CELLS // 2 + 1), dtype=np.int64)
+        with pytest.raises(CapacityError):
+            monte_carlo_independence(ContingencyTable(cells), resamples=99)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
