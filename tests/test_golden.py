@@ -2,8 +2,9 @@
 
 Each JSON file under tests/golden/ is the `--format json` report of one CLI
 invocation at a fixed seed, 2000 shots and 999 resamples: the built-in
-examples, two injected bugs, and a circuit file whose checkpoints follow
-mid-circuit measurements. A mismatch means a random stream or a report
+examples, two injected bugs, the legacy add-1 chi-square route, a circuit
+file whose checkpoints follow mid-circuit measurements, and one whose
+checkpoints list their qubits out of ascending order. A mismatch means a random stream or a report
 field changed. A deliberate stream change bumps `_rng.STREAM_VERSION` and
 regenerates the files in the same change:
 
@@ -33,6 +34,8 @@ CASES = {
     "bv-drop-setup-hadamard": ["example", "bv", "--inject-bug", "drop-setup-hadamard"],
     "qft-drop-qft-hadamard": ["example", "qft", "--inject-bug", "drop-qft-hadamard"],
     "teleport-corrected": ["run", str(GOLDEN / "teleport-corrected.qc")],
+    "xgate-legacy-chisq": ["example", "xgate", "--legacy-chisq"],
+    "reordered": ["run", str(GOLDEN / "reordered.qc")],
 }
 
 
