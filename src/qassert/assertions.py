@@ -130,38 +130,25 @@ def default_shots(kind: AssertionKind) -> int:
 def build_contingency_table(dist: MeasurementDistribution, group0, group1) -> ContingencyTable:
     """Full 2^|g0| x 2^|g1| cross-tabulation of two qubit groups.
 
-    Cell (i, j) counts outcomes whose group0 substring encodes i and group1
-    substring encodes j (leftmost listed qubit = most significant bit).
-    All-zero rows and columns are kept.
+    Cell (i, j) counts outcomes whose group0 qubits encode i and group1
+    qubits encode j (first listed qubit = most significant bit). All-zero
+    rows and columns are kept.
     """
     g0 = tuple(group0)
     g1 = tuple(group1)
     if not g0 or not g1:
         raise ValueError("both qubit groups must be non-empty")
-    if len(set(g0 + g1)) != len(g0 + g1):
-        raise ValueError(f"qubit groups must be disjoint with distinct members, "
-                         f"got {list(g0)} and {list(g1)}")
-    for q in g0 + g1:
-        if not 0 <= q < dist.n_qubits:
-            raise ValueError(f"qubit index {q} out of range for {dist.n_qubits} qubits")
-    cells = np.zeros((1 << len(g0), 1 << len(g1)), dtype=np.int64)
-    for key, count in dist.counts.items():
-        i = int("".join(key[q] for q in g0), 2)
-        j = int("".join(key[q] for q in g1), 2)
-        cells[i, j] += count
-    return ContingencyTable(cells)
+    counts = marginalize(dist, g0 + g1).counts
+    return ContingencyTable(counts.reshape(1 << len(g0), 1 << len(g1)))
 
 
-def _mode(counts: dict[str, int]) -> str:
-    return min(counts, key=lambda k: (-counts[k], k))
-
-
-def _classical_pvalue(marg: MeasurementDistribution, target: str) -> PValue:
+def _classical_pvalue(marg: MeasurementDistribution, target: int) -> PValue:
     shots = marg.shots
-    if marg.counts.get(target, 0) == shots:
+    if marg.counts[target] == shots:
         return PValue(1.0, TestMethod.CHI_SQUARE, degrees_of_freedom=0)
-    others = sorted(k for k in marg.counts if k != target)
-    observed = [marg.counts.get(target, 0)] + [marg.counts[k] for k in others]
+    others = np.flatnonzero(marg.counts)
+    others = others[others != target]
+    observed = [marg.counts[target]] + marg.counts[others].tolist()
     expected = [shots - CLASSICAL_FLOOR * len(others)] + [CLASSICAL_FLOOR] * len(others)
     statistic = chi_square_statistic(observed, expected)
     df = len(others)
@@ -189,12 +176,15 @@ def assert_classical(circuit: Circuit, at: int | None, qubits,
             f"{len(qubits)} characters of 0/1")
     shots = shots if shots is not None else default_shots(AssertionKind.CLASSICAL)
     marg = marginalize(sample(circuit, at, shots, seed), list(qubits))
-    target = expected_bitstring if expected_bitstring is not None else _mode(marg.counts)
+    # Index order is bitstring order, so the first argmax is the
+    # lexicographically smallest of tied modes.
+    target = (int(expected_bitstring, 2) if expected_bitstring is not None
+              else int(np.argmax(marg.counts)))
     p_value = _classical_pvalue(marg, target)
     return AssertionResult(
         kind=AssertionKind.CLASSICAL, qubits=qubits, group0=None, group1=None,
         alpha=alpha, p_value=p_value, passed=p_value.value > alpha,
-        shots_used=shots, target_bitstring=target)
+        shots_used=shots, target_bitstring=bitstring(target, len(qubits)))
 
 
 def assert_uniform(circuit: Circuit, at: int | None, qubits,
@@ -219,8 +209,7 @@ def assert_uniform(circuit: Circuit, at: int | None, qubits,
             f"uniform assertion: expected count {per_cell:.2f} per outcome is "
             f"below 5; consider at least {5 * k} shots", stacklevel=2)
     marg = marginalize(sample(circuit, at, shots, seed), list(qubits))
-    observed = [marg.counts.get(bitstring(i, len(qubits)), 0) for i in range(k)]
-    p_value = chi_square_gof_pvalue(observed, [1.0 / k] * k, shots)
+    p_value = chi_square_gof_pvalue(marg.counts, [1.0 / k] * k, shots)
     return AssertionResult(
         kind=AssertionKind.UNIFORM, qubits=qubits, group0=None, group1=None,
         alpha=alpha, p_value=p_value, passed=p_value.value > alpha,

@@ -112,39 +112,37 @@ class _Parser:
             return self.parse_qubit(stmt, offset + pos)
 
         kind = tokens[0][0]
-        if kind in FIXED_GATES or kind in ROTATION_GATES:
-            if kind in FIXED_GATES:
-                self.expect_arity(stmt, tokens, 1, f"{kind} Q")
-                angle = None
-                qpos = 1
-            else:
-                self.expect_arity(stmt, tokens, 2, f"{kind} ANGLE Q")
-                angle = self.parse_angle(stmt, offset + 1)
-                qpos = 2
-            return GateOp(kind, targets=(qubit(qpos),), angle=angle,
-                          classical_condition=condition)
-        if kind in {"cx", "cz"}:
+        controls: tuple[int, ...] = ()
+        angle = None
+        if kind in FIXED_GATES:
+            self.expect_arity(stmt, tokens, 1, f"{kind} Q")
+            targets = (qubit(1),)
+        elif kind in ROTATION_GATES:
+            self.expect_arity(stmt, tokens, 2, f"{kind} ANGLE Q")
+            angle = self.parse_angle(stmt, offset + 1)
+            targets = (qubit(2),)
+        elif kind in {"cx", "cz"}:
             self.expect_arity(stmt, tokens, 2, f"{kind} QC QT")
-            control, target = qubit(1), qubit(2)
-            if control == target:
+            controls, targets = (qubit(1),), (qubit(2),)
+            if controls == targets:
                 raise stmt.error("control and target must differ", offset + 2)
-            return GateOp(kind, targets=(target,), controls=(control,),
-                          classical_condition=condition)
-        if kind == "cr1":
+        elif kind == "cr1":
             self.expect_arity(stmt, tokens, 3, "cr1 ANGLE QC QT")
             angle = self.parse_angle(stmt, offset + 1)
-            control, target = qubit(2), qubit(3)
-            if control == target:
+            controls, targets = (qubit(2),), (qubit(3),)
+            if controls == targets:
                 raise stmt.error("control and target must differ", offset + 3)
-            return GateOp(kind, targets=(target,), controls=(control,), angle=angle,
-                          classical_condition=condition)
-        if kind == "swap":
+        elif kind == "swap":
             self.expect_arity(stmt, tokens, 2, "swap Q1 Q2")
-            q1, q2 = qubit(1), qubit(2)
-            if q1 == q2:
+            targets = (qubit(1), qubit(2))
+            if targets[0] == targets[1]:
                 raise stmt.error("swap qubits must differ", offset + 2)
-            return GateOp(kind, targets=(q1, q2), classical_condition=condition)
-        raise stmt.error(f"unknown gate {kind!r}", offset)
+        else:
+            raise stmt.error(f"unknown gate {kind!r}", offset)
+        try:
+            return GateOp(kind, targets, controls, angle, condition)
+        except ValueError as exc:
+            raise stmt.error(str(exc), offset + 1) from None
 
     def parse_options(self, stmt: _Statement, start: int, kind: AssertionKind) -> dict:
         allowed = {"alpha", "shots", "verdict"}

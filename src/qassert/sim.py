@@ -7,6 +7,7 @@ formatted bitstring. Preparing |q0=1, q1=0> therefore reads "10".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,8 @@ class GateOp:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if (self.angle is not None) != (self.kind in PARAMETERIZED):
             raise ValueError(f"gate {self.kind!r}: angle present iff parameterized")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"gate {self.kind!r}: angle must be finite, got {self.angle}")
         qubits = self.targets + self.controls
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"gate {self.kind!r}: qubit indices must be distinct")

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: exact rational hypergeometric
 enumeration of 2x2 and r x c tables, direct factorials, Simpson
-quadrature of the chi-square density, and full 2^n x 2^n gate unitaries
-built from Kronecker products. None of it shares code with the package
-numerics it validates.
+quadrature of the chi-square density, full 2^n x 2^n gate unitaries
+built from Kronecker products, and marginals and contingency tables built
+by joining the characters of bitstring-keyed counts. None of it shares
+code with the package numerics it validates.
 """
 
 from __future__ import annotations
@@ -146,6 +147,45 @@ def tv_distance(counts: dict[str, int], shots: int, exact: dict[str, float]) -> 
     """Total variation distance between an empirical and an exact distribution."""
     keys = set(counts) | set(exact)
     return 0.5 * sum(abs(counts.get(k, 0) / shots - exact.get(k, 0.0)) for k in keys)
+
+
+def bitstring_counts(vector, floor=0) -> dict:
+    """The cells of a count or probability vector above `floor`, keyed by
+    bitstring with qubit 0 leftmost (cell i is `format(i, "0{n}b")`)."""
+    values = np.asarray(vector).tolist()
+    n = len(values).bit_length() - 1
+    return {format(i, f"0{n}b"): v for i, v in enumerate(values) if v > floor}
+
+
+def count_vector(counts: dict[str, int]) -> np.ndarray:
+    """The int64 count vector of bitstring-keyed counts (keys of one length)."""
+    n = len(next(iter(counts)))
+    vector = np.zeros(1 << n, dtype=np.int64)
+    for key, count in counts.items():
+        vector[int(key, 2)] += count
+    return vector
+
+
+def marginal_counts_ref(counts: dict[str, int], qubits) -> dict[str, int]:
+    """Bitstring-keyed counts restricted to `qubits`, in the listed order,
+    by joining the listed characters of every key."""
+    out: dict[str, int] = {}
+    for key, count in counts.items():
+        sub = "".join(key[q] for q in qubits)
+        out[sub] = out.get(sub, 0) + count
+    return out
+
+
+def contingency_ref(counts: dict[str, int], group0, group1) -> np.ndarray:
+    """The 2^|g0| x 2^|g1| table of bitstring-keyed counts: cell (i, j)
+    counts keys whose group0 characters read i in binary and whose group1
+    characters read j."""
+    cells = np.zeros((1 << len(group0), 1 << len(group1)), dtype=np.int64)
+    for key, count in counts.items():
+        i = int("".join(key[q] for q in group0), 2)
+        j = int("".join(key[q] for q in group1), 2)
+        cells[i, j] += count
+    return cells
 
 
 def random_2x2_tables(n_tables: int, max_total: int, seed: int) -> list[np.ndarray]:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import count_vector
 
+from qassert import assertions
 from qassert.assertions import (
     AssertionDirective,
     AssertionKind,
@@ -45,13 +47,13 @@ class TestDefaultShots:
 class TestBuildContingencyTable:
     def test_direct_tabulation(self):
         dist = MeasurementDistribution(
-            2, 1000, {"00": 300, "01": 200, "10": 250, "11": 250})
+            2, 1000, count_vector({"00": 300, "01": 200, "10": 250, "11": 250}))
         tbl = build_contingency_table(dist, [0], [1])
         assert tbl.cells.tolist() == [[300, 200], [250, 250]]
 
     def test_wide_table_shape(self):
         # five data qubits vs one auxiliary: 32 x 2, zero rows kept
-        dist = MeasurementDistribution(6, 10, {"000000": 4, "111111": 6})
+        dist = MeasurementDistribution(6, 10, count_vector({"000000": 4, "111111": 6}))
         tbl = build_contingency_table(dist, [0, 1, 2, 3, 4], [5])
         assert tbl.cells.shape == (32, 2)
         assert tbl.total == 10
@@ -59,22 +61,22 @@ class TestBuildContingencyTable:
         assert tbl.cells[31, 1] == 6
 
     def test_deterministic_state(self):
-        dist = MeasurementDistribution(2, 1000, {"11": 1000})
+        dist = MeasurementDistribution(2, 1000, count_vector({"11": 1000}))
         tbl = build_contingency_table(dist, [0], [1])
         assert tbl.cells.tolist() == [[0, 0], [0, 1000]]
 
     def test_overlapping_groups_rejected(self):
-        dist = MeasurementDistribution(2, 1, {"00": 1})
+        dist = MeasurementDistribution(2, 1, count_vector({"00": 1}))
         with pytest.raises(ValueError):
             build_contingency_table(dist, [0, 1], [1])
 
     def test_duplicate_within_group_rejected(self):
-        dist = MeasurementDistribution(3, 1, {"000": 1})
+        dist = MeasurementDistribution(3, 1, count_vector({"000": 1}))
         with pytest.raises(ValueError):
             build_contingency_table(dist, [0, 0], [1])
 
     def test_empty_group_rejected(self):
-        dist = MeasurementDistribution(2, 1, {"00": 1})
+        dist = MeasurementDistribution(2, 1, count_vector({"00": 1}))
         with pytest.raises(ValueError):
             build_contingency_table(dist, [], [1])
 
@@ -108,6 +110,16 @@ class TestAssertClassical:
                                   shots=10000, seed=3)
         assert result.p_value.value < 1e-100
         assert not result.passed
+
+    def test_exact_tie_picks_the_lower_index(self, monkeypatch):
+        # "01" and "10" tie as the mode; the first argmax is index 1, "01"
+        tied = MeasurementDistribution(2, 10, count_vector({"01": 4, "10": 4, "11": 2}))
+        monkeypatch.setattr(assertions, "sample", lambda *args: tied)
+        result = assert_classical(hh(), None, [0, 1], shots=10, seed=0)
+        assert result.target_bitstring == "01"
+        assert result.p_value.degrees_of_freedom == 2
+        reordered = assert_classical(hh(), None, [1, 0], shots=10, seed=0)
+        assert reordered.target_bitstring == "01"
 
     def test_wrong_length_bitstring_rejected(self):
         with pytest.raises(ValueError):

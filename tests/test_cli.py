@@ -86,6 +86,15 @@ class TestRunCommand:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("angle", ["nan", "inf", "1e400"])
+    def test_non_finite_angle_is_located_parse_error(self, capsys, tmp_path, angle):
+        path = tmp_path / "nan.qc"
+        path.write_text(f"qubits 1\nrx {angle} 0\nassert_uniform 0\n")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert "line 2" in err and "finite" in err
+        assert "Traceback" not in err and out == ""
+
 
 class TestJsonReport:
     def test_json_round_trip_identity(self, capsys):

@@ -110,6 +110,23 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="angle"):
             parse_circuit("qubits 1\nrx abc 0\n")
 
+    @pytest.mark.parametrize("text, column", [
+        ("qubits 1\nrx nan 0\n", 4),
+        ("qubits 1\nry inf 0\n", 4),
+        ("qubits 1\nrz 1e400 0\n", 4),
+        ("qubits 2\ncr1 -inf 0 1\n", 5),
+    ])
+    def test_non_finite_angle(self, text, column):
+        # the error points at the angle token
+        with pytest.raises(ParseError, match="finite") as exc_info:
+            parse_circuit(text)
+        assert (exc_info.value.line, exc_info.value.column) == (2, column)
+
+    def test_non_finite_angle_in_conditional_gate(self):
+        with pytest.raises(ParseError, match="finite") as exc_info:
+            parse_circuit("qubits 2\nmeasure 0 -> 0\ncif 0 rx nan 1\n")
+        assert (exc_info.value.line, exc_info.value.column) == (3, 10)
+
     def test_malformed_measure(self):
         with pytest.raises(ParseError, match="measure"):
             parse_circuit("qubits 1\nmeasure 0 0\n")

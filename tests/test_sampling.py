@@ -4,11 +4,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import binomial_two_sided_pvalue, chi_square_sf_quadrature, tv_distance
+from oracles import (
+    binomial_two_sided_pvalue,
+    bitstring_counts,
+    chi_square_sf_quadrature,
+    contingency_ref,
+    count_vector,
+    marginal_counts_ref,
+    tv_distance,
+)
+from qassert.assertions import AssertionDirective, build_contingency_table
 from qassert.errors import CapacityError
 from qassert.examples import build_qft
-from qassert.assertions import AssertionDirective
 from qassert.parser import parse_circuit
 from qassert.sampling import (
     MAX_EXACT_BRANCHES,
@@ -20,6 +30,9 @@ from qassert.sampling import (
 )
 from qassert.sim import Circuit, GateOp, Measurement
 
+# Exact probabilities at or below this are treated as impossible outcomes.
+EPS = 1e-15
+
 
 def bell():
     return Circuit(2, 0, [GateOp("h", (0,)), GateOp("cx", (1,), controls=(0,))])
@@ -29,23 +42,29 @@ def xx_circuit():
     return Circuit(2, 0, [GateOp("x", (0,)), GateOp("x", (1,))])
 
 
+def counts_dist(counts: dict[str, int]) -> MeasurementDistribution:
+    """A distribution holding bitstring-keyed counts."""
+    vector = count_vector(counts)
+    return MeasurementDistribution(len(next(iter(counts))), int(vector.sum()), vector)
+
+
 class TestSample:
     def test_bell_supports_only_00_and_11(self):
-        dist = sample(bell(), shots=1000, seed=7)
-        assert set(dist.counts) <= {"00", "11"}
-        assert sum(dist.counts.values()) == 1000
+        counts = bitstring_counts(sample(bell(), shots=1000, seed=7).counts)
+        assert set(counts) <= {"00", "11"}
+        assert sum(counts.values()) == 1000
 
     def test_deterministic_state_all_shots_one_key(self):
         for seed in (0, 1, 99):
             dist = sample(xx_circuit(), shots=1000, seed=seed)
-            assert dist.counts == {"11": 1000}
+            assert bitstring_counts(dist.counts) == {"11": 1000}
 
     def test_hadamard_frequency_matches_exact(self):
         circuit = Circuit(1, 0, [GateOp("h", (0,))])
         dist = sample(circuit, shots=10000, seed=1)
-        exact = exact_distribution(circuit)
+        exact = bitstring_counts(exact_distribution(circuit), EPS)
         assert exact["1"] == pytest.approx(0.5, abs=1e-12)
-        assert 0.48 <= dist.counts["1"] / 10000 <= 0.52
+        assert 0.48 <= bitstring_counts(dist.counts)["1"] / 10000 <= 0.52
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
@@ -54,48 +73,54 @@ class TestSample:
     def test_determinism(self):
         a = sample(bell(), shots=500, seed=123)
         b = sample(bell(), shots=500, seed=123)
-        assert a.counts == b.counts
+        assert np.array_equal(a.counts, b.counts)
 
     def test_mid_circuit_measurement_path(self):
         circuit = Circuit(1, 1, [GateOp("h", (0,)), Measurement(0, 0),
                                  GateOp("x", (0,), classical_condition=0)])
         # measure then conditionally flip: every shot ends in |0>
         dist = sample(circuit, shots=200, seed=5)
-        assert dist.counts == {"0": 200}
+        assert bitstring_counts(dist.counts) == {"0": 200}
 
     def test_shots_above_cap_rejected(self):
         with pytest.raises(CapacityError):
             sample(bell(), shots=MAX_SHOTS + 1, seed=0)
 
-    def test_no_zero_count_keys(self):
+    def test_counts_are_an_int64_vector_over_all_outcomes(self):
         dist = sample(bell(), shots=50, seed=3)
-        assert all(count > 0 for count in dist.counts.values())
+        assert dist.counts.dtype == np.int64
+        assert dist.counts.shape == (4,)
+        assert dist.counts[1] == dist.counts[2] == 0
 
 
 class TestMeasurementDistribution:
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError):
-            MeasurementDistribution(1, 10, {"0": 5})
+            MeasurementDistribution(1, 10, [5, 0])
 
-    def test_rejects_bad_key(self):
+    def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            MeasurementDistribution(2, 1, {"0x": 1})
+            MeasurementDistribution(2, 1, [1, 0])
 
-    def test_rejects_zero_count(self):
+    def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
-            MeasurementDistribution(1, 1, {"0": 1, "1": 0})
+            MeasurementDistribution(1, 1, [2, -1])
+
+    def test_rejects_zero_shots(self):
+        with pytest.raises(ValueError):
+            MeasurementDistribution(1, 0, [0, 0])
 
 
 class TestExactDistribution:
     def test_bell(self):
-        dist = exact_distribution(bell())
+        dist = bitstring_counts(exact_distribution(bell()), EPS)
         assert set(dist) == {"00", "11"}
         assert dist["00"] == pytest.approx(0.5, abs=1e-12)
         assert dist["11"] == pytest.approx(0.5, abs=1e-12)
 
     def test_uniform_three_qubits(self):
         circuit = Circuit(3, 0, [GateOp("h", (q,)) for q in range(3)])
-        dist = exact_distribution(circuit)
+        dist = bitstring_counts(exact_distribution(circuit), EPS)
         assert len(dist) == 8
         for p in dist.values():
             assert p == pytest.approx(0.125, abs=1e-12)
@@ -105,7 +130,7 @@ class TestExactDistribution:
         directive_positions = [i for i, item in enumerate(circuit.items)
                                if isinstance(item, AssertionDirective)]
         after_transform = directive_positions[2]
-        dist = exact_distribution(circuit, upto=after_transform)
+        dist = bitstring_counts(exact_distribution(circuit, upto=after_transform), EPS)
         assert len(dist) == 32
         for p in dist.values():
             assert p == pytest.approx(1.0 / 32.0, abs=1e-9)
@@ -114,7 +139,7 @@ class TestExactDistribution:
     def test_branches_on_measurement(self):
         circuit = Circuit(1, 1, [GateOp("h", (0,)), Measurement(0, 0),
                                  GateOp("x", (0,), classical_condition=0)])
-        dist = exact_distribution(circuit)
+        dist = bitstring_counts(exact_distribution(circuit), EPS)
         assert dist["0"] == pytest.approx(1.0, abs=1e-12)
 
     def test_too_many_measurements_raises(self):
@@ -132,44 +157,103 @@ class TestExactDistribution:
             GateOp("h", (0,)),
         ])
         dist = exact_distribution(teleport)
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
+        assert float(dist.sum()) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMarginalize:
     def test_single_qubit(self):
-        dist = MeasurementDistribution(2, 1000, {"00": 600, "11": 400})
+        dist = counts_dist({"00": 600, "11": 400})
         marg = marginalize(dist, [0])
-        assert marg.counts == {"0": 600, "1": 400}
+        assert bitstring_counts(marg.counts) == {"0": 600, "1": 400}
 
     def test_other_qubit(self):
-        dist = MeasurementDistribution(2, 1000, {"01": 250, "10": 750})
+        dist = counts_dist({"01": 250, "10": 750})
         marg = marginalize(dist, [1])
-        assert marg.counts == {"1": 250, "0": 750}
+        assert bitstring_counts(marg.counts) == {"1": 250, "0": 750}
 
     def test_identity(self):
-        dist = MeasurementDistribution(2, 100, {"00": 30, "01": 20, "10": 25, "11": 25})
+        dist = counts_dist({"00": 30, "01": 20, "10": 25, "11": 25})
         marg = marginalize(dist, [0, 1])
-        assert marg.counts == dist.counts
+        assert np.array_equal(marg.counts, dist.counts)
 
     def test_reorder(self):
-        dist = MeasurementDistribution(2, 10, {"01": 10})
+        dist = counts_dist({"01": 10})
         marg = marginalize(dist, [1, 0])
-        assert marg.counts == {"10": 10}
+        assert bitstring_counts(marg.counts) == {"10": 10}
 
     def test_duplicate_index_rejected(self):
-        dist = MeasurementDistribution(2, 10, {"00": 10})
+        dist = counts_dist({"00": 10})
         with pytest.raises(ValueError):
             marginalize(dist, [0, 0])
 
     def test_invalid_index_rejected(self):
-        dist = MeasurementDistribution(2, 10, {"00": 10})
+        dist = counts_dist({"00": 10})
         with pytest.raises(ValueError):
             marginalize(dist, [2])
 
     def test_total_preserved(self):
         dist = sample(bell(), shots=777, seed=2)
         assert marginalize(dist, [1]).shots == 777
-        assert sum(marginalize(dist, [1]).counts.values()) == 777
+        assert int(marginalize(dist, [1]).counts.sum()) == 777
+
+
+@st.composite
+def distributions(draw, min_qubits=1):
+    """A distribution over min_qubits..6 qubits with random counts, zeros
+    allowed, and a random ordering of all its qubits."""
+    n = draw(st.integers(min_qubits, 6))
+    cells = draw(st.lists(st.integers(0, 30), min_size=1 << n, max_size=1 << n))
+    cells[draw(st.integers(0, (1 << n) - 1))] += 1  # at least one shot
+    return MeasurementDistribution(n, sum(cells), cells), draw(st.permutations(range(n)))
+
+
+@st.composite
+def marginal_cases(draw):
+    """A distribution and a non-empty ordered subset of its qubits."""
+    dist, order = draw(distributions())
+    return dist, order[:draw(st.integers(1, dist.n_qubits))]
+
+
+@st.composite
+def table_cases(draw):
+    """A distribution and two disjoint non-empty ordered qubit groups."""
+    dist, order = draw(distributions(min_qubits=2))
+    a = draw(st.integers(1, dist.n_qubits - 1))
+    b = draw(st.integers(a + 1, dist.n_qubits))
+    return dist, order[:a], order[a:b]
+
+
+SKEWED = {"001": 3, "100": 5, "110": 1}
+
+
+class TestMarginalReference:
+    """Vector marginals and tables against the bitstring-joining reference."""
+
+    @given(case=marginal_cases())
+    @settings(max_examples=150, deadline=None)
+    @example(case=(counts_dist(SKEWED), [2, 0]))
+    def test_marginalize_matches_reference(self, case):
+        dist, qubits = case
+        expected = marginal_counts_ref(bitstring_counts(dist.counts), qubits)
+        marg = marginalize(dist, qubits)
+        assert marg.shots == dist.shots
+        assert bitstring_counts(marg.counts) == expected
+
+    @given(case=table_cases())
+    @settings(max_examples=150, deadline=None)
+    @example(case=(counts_dist(SKEWED), [2, 0], [1]))
+    def test_contingency_table_matches_reference(self, case):
+        dist, group0, group1 = case
+        expected = contingency_ref(bitstring_counts(dist.counts), group0, group1)
+        table = build_contingency_table(dist, group0, group1)
+        assert table.cells.tolist() == expected.tolist()
+
+    def test_range_group_accepted(self):
+        dist = counts_dist({"000000": 4, "100001": 6})
+        table = build_contingency_table(dist, range(5), (5,))
+        assert table.cells.shape == (32, 2)
+        assert table.cells[0, 0] == 4
+        assert table.cells[16, 1] == 6
 
 
 class TestConvergence:
@@ -177,22 +261,20 @@ class TestConvergence:
         # Seed ladder: the empirical distribution at 10,000 shots must be
         # closer to exact than at 100 shots for at least 9 of 10 seeds.
         circuit = bell()
-        exact = exact_distribution(circuit)
+        exact = bitstring_counts(exact_distribution(circuit), EPS)
         improved = 0
         for seed in range(10):
-            tv_small = tv_distance(sample(circuit, shots=100, seed=seed).counts,
-                                   100, exact)
-            tv_large = tv_distance(sample(circuit, shots=10000, seed=seed).counts,
-                                   10000, exact)
-            improved += tv_large < tv_small
+            small = bitstring_counts(sample(circuit, shots=100, seed=seed).counts)
+            large = bitstring_counts(sample(circuit, shots=10000, seed=seed).counts)
+            improved += tv_distance(large, 10000, exact) < tv_distance(small, 100, exact)
         assert improved >= 9
 
     def test_trajectory_and_state_sampling_agree(self):
         # The sampled distribution against the exact one, at 10,000 shots.
         circuit = bell()
-        sampled = sample(circuit, shots=10000, seed=22)
-        exact = exact_distribution(circuit)
-        assert tv_distance(sampled.counts, 10000, exact) < 0.05
+        sampled = bitstring_counts(sample(circuit, shots=10000, seed=22).counts)
+        exact = bitstring_counts(exact_distribution(circuit), EPS)
+        assert tv_distance(sampled, 10000, exact) < 0.05
 
 
 TELEPORT = """
@@ -251,7 +333,7 @@ class TestShotSplitting:
         with pytest.raises(CapacityError):
             exact_distribution(circuit)
         dist = sample(circuit, shots=400, seed=3)
-        ones = dist.counts.get("1", 0)
+        ones = bitstring_counts(dist.counts).get("1", 0)
         assert binomial_two_sided_pvalue(ones, 400, Fraction(1, 2)) > 0.01
 
     @pytest.mark.parametrize("text", [TELEPORT, FEEDFORWARD_RESET, MEASURED_QFT],
@@ -259,9 +341,9 @@ class TestShotSplitting:
     @pytest.mark.parametrize("seed", range(5))
     def test_goodness_of_fit_to_exact(self, text, seed):
         circuit = parse_circuit(text)
-        exact = exact_distribution(circuit)
+        exact = bitstring_counts(exact_distribution(circuit), EPS)
         shots = 10000
-        counts = sample(circuit, shots=shots, seed=seed).counts
+        counts = bitstring_counts(sample(circuit, shots=shots, seed=seed).counts)
         assert set(counts) <= set(exact)
         statistic = sum((counts.get(k, 0) - shots * p) ** 2 / (shots * p)
                         for k, p in exact.items())
@@ -272,4 +354,4 @@ class TestShotSplitting:
         for seed in (0, 9):
             a = sample(circuit, shots=3000, seed=seed)
             b = sample(circuit, shots=3000, seed=seed)
-            assert a.counts == b.counts
+            assert np.array_equal(a.counts, b.counts)
