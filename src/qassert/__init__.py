@@ -7,9 +7,8 @@ Carlo permutation tests.
 """
 
 from .assertions import (
-    AssertionDirective,
-    AssertionKind,
     AssertionResult,
+    ProgramConfig,
     assert_classical,
     assert_product,
     assert_uniform,
@@ -28,20 +27,11 @@ from .errors import (
     QAssertError,
 )
 from .examples import build_example, builtin_examples
+from .ir import QUBIT_CAP, AssertionDirective, AssertionKind, Circuit, GateOp, Measurement
 from .parser import parse_circuit, render_circuit
-from .runner import ProgramConfig, RunReport, render_report, run_program
+from .runner import RunReport, render_report, run_program
 from .sampling import MeasurementDistribution, exact_distribution, marginalize, sample
-from .sim import (
-    Circuit,
-    GateOp,
-    Measurement,
-    QUBIT_CAP,
-    StateVector,
-    apply_gate,
-    measure_qubit,
-    new_state,
-    run_trajectory,
-)
+from .sim import StateVector, apply_gate, measure_qubit, new_state, run_trajectory
 from .stats import (
     ContingencyTable,
     PValue,

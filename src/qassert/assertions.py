@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._rng import derive_seed
 from .errors import InfeasibleShotsError
+from .ir import (
+    AssertionDirective,
+    AssertionKind,
+    Circuit,
+    check_expected_bitstring,
+    check_run_parameters,
+)
 from .sampling import MeasurementDistribution, marginalize, sample
-from .sim import Circuit, bitstring
+from .sim import bitstring
 from .stats import (
     ContingencyTable,
     DEFAULT_RESAMPLES,
@@ -32,9 +37,6 @@ from .stats import (
     upper_regularized_gamma,
 )
 
-if TYPE_CHECKING:
-    from .runner import ProgramConfig
-
 DEFAULT_ALPHA = 0.05
 
 # Expected count assigned to each non-target cell by the classical-state
@@ -43,62 +45,18 @@ DEFAULT_ALPHA = 0.05
 CLASSICAL_FLOOR = 0.5
 
 
-class AssertionKind(str, Enum):
-    CLASSICAL = "CLASSICAL"
-    UNIFORM = "UNIFORM"
-    PRODUCT = "PRODUCT"
+@dataclass
+class ProgramConfig:
+    """Run-wide defaults and overrides for checkpoint evaluation."""
 
-
-@dataclass(frozen=True)
-class AssertionDirective:
-    """A checkpoint embedded in a circuit's item list.
-
-    CLASSICAL and UNIFORM assert over `qubits`; PRODUCT asserts independence
-    between `group0` and `group1`. Fields left as None fall back to run
-    configuration defaults. `expected_verdict` records what the circuit's
-    author expects the assertion to return, for regression checking.
-    """
-
-    kind: AssertionKind
-    qubits: tuple[int, ...] = ()
-    group0: tuple[int, ...] = ()
-    group1: tuple[int, ...] = ()
-    alpha: float | None = None
     shots: int | None = None
-    resamples: int | None = None
-    expected_bitstring: str | None = None
-    expected_verdict: bool | None = None
+    seed: int = 0
+    alpha: float = DEFAULT_ALPHA
+    resamples: int = DEFAULT_RESAMPLES
+    legacy_chisq: bool = False
 
     def __post_init__(self):
-        if self.kind == AssertionKind.PRODUCT:
-            if not self.group0 or not self.group1:
-                raise ValueError("product assertion needs two non-empty qubit groups")
-            combined = self.group0 + self.group1
-            if len(set(combined)) != len(combined):
-                raise ValueError("product assertion groups must be disjoint, "
-                                 "with distinct qubits in each")
-        else:
-            if not self.qubits:
-                raise ValueError(f"{self.kind.value} assertion needs at least one qubit")
-            if len(set(self.qubits)) != len(self.qubits):
-                raise ValueError("assertion qubits must be distinct")
-        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.resamples is not None and self.resamples < 1:
-            raise ValueError(f"resamples must be >= 1, got {self.resamples}")
-        if self.expected_bitstring is not None:
-            if self.kind != AssertionKind.CLASSICAL:
-                raise ValueError("expected_bitstring only applies to classical assertions")
-            if (len(self.expected_bitstring) != len(self.qubits)
-                    or any(ch not in "01" for ch in self.expected_bitstring)):
-                raise ValueError(
-                    f"expected_bitstring {self.expected_bitstring!r} must be "
-                    f"{len(self.qubits)} characters of 0/1")
-
-    def all_qubits(self) -> tuple[int, ...]:
-        return self.qubits + self.group0 + self.group1
+        check_run_parameters(self.alpha, self.shots, self.resamples)
 
 
 @dataclass
@@ -168,12 +126,8 @@ def assert_classical(circuit: Circuit, at: int | None, qubits,
     string"), otherwise the empirical mode (testing "is classical").
     """
     qubits = tuple(qubits)
-    if expected_bitstring is not None and (
-            len(expected_bitstring) != len(qubits)
-            or any(ch not in "01" for ch in expected_bitstring)):
-        raise ValueError(
-            f"expected_bitstring {expected_bitstring!r} must be "
-            f"{len(qubits)} characters of 0/1")
+    if expected_bitstring is not None:
+        check_expected_bitstring(expected_bitstring, len(qubits))
     shots = shots if shots is not None else default_shots(AssertionKind.CLASSICAL)
     marg = marginalize(sample(circuit, at, shots, seed), list(qubits))
     # Index order is bitstring order, so the first argmax is the
@@ -247,7 +201,7 @@ def assert_product(circuit: Circuit, at: int | None, group0, group1,
 
 
 def evaluate_checkpoint(circuit: Circuit, index: int,
-                        config: "ProgramConfig") -> AssertionResult:
+                        config: ProgramConfig) -> AssertionResult:
     """Evaluate the assertion directive at circuit.items[index].
 
     Parameter precedence: an explicit run-config shot override beats the

@@ -6,11 +6,11 @@ import argparse
 import os
 import sys
 
-from .assertions import DEFAULT_ALPHA
+from .assertions import DEFAULT_ALPHA, ProgramConfig
 from .errors import QAssertError
 from .examples import build_example, builtin_examples
 from .parser import parse_circuit
-from .runner import ProgramConfig, render_report, run_program
+from .runner import render_report, run_program
 from .stats import DEFAULT_RESAMPLES
 
 

@@ -10,7 +10,16 @@ class CapacityError(QAssertError):
 
 
 class CircuitError(QAssertError):
-    """A circuit is structurally invalid or was executed out of contract."""
+    """A circuit is structurally invalid or was executed out of contract.
+
+    `item` is the position of the offending item in the circuit's item
+    list, when one item is at fault; `message` omits it.
+    """
+
+    def __init__(self, message: str, item: int | None = None):
+        super().__init__(message if item is None else f"item {item}: {message}")
+        self.message = message
+        self.item = item
 
 
 class NumericalError(QAssertError):

@@ -4,25 +4,27 @@ Each example places its checkpoints at the semantically meaningful points
 (after setup, after the oracle/transform, before final measurement) and
 records the verdict a correct implementation should produce. The bug
 injections reproduce classic mistakes (a dropped Hadamard) so the checkpoint
-trail can be watched pinpointing them.
+trail can be watched pinpointing them. The fixed examples (bell, xgate,
+teleport) are the circuit files shipped in `circuits/`; bv and qft take
+parameters and are built here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import resources
 from typing import Callable
 
-from .assertions import AssertionDirective, AssertionKind
-from .sim import Circuit, GateOp, Measurement
+from .ir import AssertionDirective, AssertionKind, Circuit, GateOp, Measurement
+from .parser import parse_circuit
 
 _PI = 3.141592653589793
 
 
 def _gate(kind: str, *qubits: int, angle: float | None = None,
-          control: int | None = None, condition: int | None = None) -> GateOp:
+          control: int | None = None) -> GateOp:
     controls = (control,) if control is not None else ()
-    return GateOp(kind, targets=tuple(qubits), controls=controls, angle=angle,
-                  classical_condition=condition)
+    return GateOp(kind, targets=tuple(qubits), controls=controls, angle=angle)
 
 
 def _check_bits(bits: str, what: str) -> str:
@@ -31,59 +33,23 @@ def _check_bits(bits: str, what: str) -> str:
     return bits
 
 
+def _shipped(name: str) -> Circuit:
+    """The fixed example shipped as circuits/<name>.qc, whose comments
+    explain its checkpoints."""
+    return parse_circuit(
+        (resources.files(__package__) / "circuits" / f"{name}.qc").read_text(encoding="utf-8"))
+
+
 def build_bell() -> Circuit:
-    """Two-qubit Bell pair; the product checkpoint must detect entanglement."""
-    items = [
-        _gate("h", 0),
-        _gate("cx", 1, control=0),
-        AssertionDirective(AssertionKind.PRODUCT, group0=(0,), group1=(1,),
-                           expected_verdict=False),
-    ]
-    return Circuit(2, 0, items)
+    return _shipped("bell")
 
 
 def build_xgate() -> Circuit:
-    """X on both qubits of |00>; the two qubits stay unentangled.
-
-    The resulting |11> state has an all-but-one-zero contingency table:
-    the exact test accepts independence (p = 1) while the legacy add-1
-    chi-square baseline wrongly reports entanglement.
-    """
-    items = [
-        _gate("x", 0),
-        _gate("x", 1),
-        AssertionDirective(AssertionKind.PRODUCT, group0=(0,), group1=(1,),
-                           expected_verdict=True),
-    ]
-    return Circuit(2, 0, items)
+    return _shipped("xgate")
 
 
 def build_teleport() -> Circuit:
-    """Teleport an rx(pi/2)-prepared qubit from q0 to q2 via a Bell pair.
-
-    The product checkpoint sits after the Bell-measurement CNOT and before
-    its Hadamard: that is where the entanglement of q0 with (q1, q2) shows
-    up in the sampled computational-basis distribution (conditioned on q0,
-    the pair lands on disjoint outcome sets), so the assertion must fail.
-    Once the Hadamard moves q0's correlations into phase, and again after
-    the conditional X/Z corrections, the sampled distribution factorizes.
-    The input is a balanced superposition: a basis-state input would leave
-    one contingency row empty and the dependence invisible.
-    """
-    items = [
-        _gate("rx", 0, angle=_PI / 2.0),
-        _gate("h", 1),
-        _gate("cx", 2, control=1),
-        _gate("cx", 1, control=0),
-        AssertionDirective(AssertionKind.PRODUCT, group0=(0,), group1=(1, 2),
-                           expected_verdict=False),
-        _gate("h", 0),
-        Measurement(0, 0),
-        Measurement(1, 1),
-        _gate("x", 2, condition=1),
-        _gate("z", 2, condition=0),
-    ]
-    return Circuit(3, 2, items)
+    return _shipped("teleport")
 
 
 def build_bv(secret: str = "01011", drop_setup_hadamard: bool = False) -> Circuit:
@@ -179,15 +145,15 @@ class Example:
 _EXAMPLES = {
     "bell": Example(
         "bell", "Bell pair; product checkpoint expects entanglement (fail)",
-        lambda: build_bell()),
+        build_bell),
     "xgate": Example(
         "xgate", "X on both qubits of |00>; product checkpoint expects pass "
         "(the legacy add-1 chi-square gets this wrong)",
-        lambda: build_xgate()),
+        build_xgate),
     "teleport": Example(
         "teleport", "quantum teleportation; product checkpoint at the "
         "fully-entangled point expects fail",
-        lambda: build_teleport()),
+        build_teleport),
     "bv": Example(
         "bv", "Bernstein-Vazirani with uniform/product/classical checkpoints",
         build_bv, params=("secret",), bugs=("drop-setup-hadamard",)),

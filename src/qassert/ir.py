@@ -1,0 +1,174 @@
+"""The circuit IR: gates, measurements and assertion directives in one
+ordered item list.
+
+Each rule about a single item is checked once, by that item's
+constructor, which raises ValueError. Each rule that needs the whole
+circuit (index ranges, classical bits written before they are read) is
+checked once, by `Circuit.validate`, which raises CircuitError with the
+position of the offending item.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+from enum import Enum
+
+from .errors import CircuitError
+
+QUBIT_CAP = 20
+
+FIXED_GATES = frozenset({"h", "x", "y", "z", "s", "t"})
+ROTATION_GATES = frozenset({"rx", "ry", "rz", "r1"})
+CONTROLLED_GATES = frozenset({"cx", "cz", "cr1"})
+GATE_KINDS = FIXED_GATES | ROTATION_GATES | CONTROLLED_GATES | {"swap"}
+PARAMETERIZED = frozenset({"rx", "ry", "rz", "r1", "cr1"})
+
+
+def check_run_parameters(alpha: float | None, shots: int | None,
+                         resamples: int | None) -> None:
+    """Range-check a critical p-value and shot and resample counts; None
+    stands for "use the default" and always passes."""
+    if alpha is not None and not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if shots is not None and shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if resamples is not None and resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
+
+
+def check_expected_bitstring(bits: str, n_qubits: int) -> None:
+    """An expected outcome is one 0/1 character per asserted qubit."""
+    if len(bits) != n_qubits or any(ch not in "01" for ch in bits):
+        raise ValueError(f"expected_bitstring {bits!r} must be "
+                         f"{n_qubits} characters of 0/1")
+
+
+@dataclass(frozen=True)
+class GateOp:
+    """One gate application: kind, qubits, optional angle and classical guard.
+
+    Controlled kinds (cx, cz, cr1) carry their control in `controls` and the
+    acted-on qubit in `targets`. A gate with `classical_condition` set is
+    applied only when that classical bit holds 1 at execution time.
+    """
+
+    kind: str
+    targets: tuple[int, ...]
+    controls: tuple[int, ...] = ()
+    angle: float | None = None
+    classical_condition: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if (self.angle is not None) != (self.kind in PARAMETERIZED):
+            raise ValueError(f"gate {self.kind!r}: angle present iff parameterized")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"gate {self.kind!r}: angle must be finite, got {self.angle}")
+        qubits = self.qubits()
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"gate {self.kind!r}: qubits must differ, got {list(qubits)}")
+
+    def qubits(self) -> tuple[int, ...]:
+        return self.targets + self.controls
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """Mid-circuit projective measurement of one qubit into a classical bit."""
+
+    qubit: int
+    cbit: int
+
+
+class AssertionKind(str, Enum):
+    CLASSICAL = "CLASSICAL"
+    UNIFORM = "UNIFORM"
+    PRODUCT = "PRODUCT"
+
+
+@dataclass(frozen=True)
+class AssertionDirective:
+    """A checkpoint embedded in a circuit's item list.
+
+    CLASSICAL and UNIFORM assert over `qubits`; PRODUCT asserts independence
+    between `group0` and `group1`. Fields left as None fall back to run
+    configuration defaults. `expected_verdict` records what the circuit's
+    author expects the assertion to return, for regression checking.
+    """
+
+    kind: AssertionKind
+    qubits: tuple[int, ...] = ()
+    group0: tuple[int, ...] = ()
+    group1: tuple[int, ...] = ()
+    alpha: float | None = None
+    shots: int | None = None
+    resamples: int | None = None
+    expected_bitstring: str | None = None
+    expected_verdict: bool | None = None
+
+    def __post_init__(self):
+        if self.kind == AssertionKind.PRODUCT:
+            groups = (self.group0, self.group1)
+            shared = sorted(set(self.group0) & set(self.group1))
+            if shared:
+                raise ValueError(f"product groups overlap: {shared}")
+        else:
+            groups = (self.qubits,)
+        for group in groups:
+            if not group:
+                raise ValueError(f"{self.kind.value} assertion needs at least "
+                                 "one qubit in each group")
+            if len(set(group)) != len(group):
+                raise ValueError(f"assertion qubits must be distinct, got {list(group)}")
+        check_run_parameters(self.alpha, self.shots, self.resamples)
+        if self.expected_bitstring is not None:
+            if self.kind != AssertionKind.CLASSICAL:
+                raise ValueError("expected_bitstring only applies to classical assertions")
+            check_expected_bitstring(self.expected_bitstring, len(self.qubits))
+
+    def all_qubits(self) -> tuple[int, ...]:
+        return self.qubits + self.group0 + self.group1
+
+
+@dataclass
+class Circuit:
+    """Ordered gate/measurement/assertion-directive program on n_qubits."""
+
+    n_qubits: int
+    n_classical_bits: int = 0
+    items: list = field(default_factory=list)
+
+    def validate(self) -> None:
+        """Check the rules that span the circuit: the qubit count, every
+        qubit and classical bit index in range, and every conditional gate
+        reading a bit that an earlier measurement wrote."""
+        if not 0 < self.n_qubits <= QUBIT_CAP:
+            raise CircuitError(f"qubit count must be in 1..{QUBIT_CAP}, got {self.n_qubits}")
+        written: set[int] = set()
+        for pos, item in enumerate(self.items):
+            if isinstance(item, GateOp):
+                qubits = item.qubits()
+            elif isinstance(item, Measurement):
+                qubits = (item.qubit,)
+            elif isinstance(item, AssertionDirective):
+                qubits = item.all_qubits()
+            else:
+                raise CircuitError(f"unsupported item {item!r}", pos)
+            for q in qubits:
+                if not 0 <= q < self.n_qubits:
+                    raise CircuitError(f"qubit index {q} out of range "
+                                       f"(circuit has {self.n_qubits})", pos)
+            if isinstance(item, Measurement):
+                if not 0 <= item.cbit < self.n_classical_bits:
+                    raise CircuitError(f"classical bit {item.cbit} out of range "
+                                       f"(circuit has {self.n_classical_bits})", pos)
+                written.add(item.cbit)
+            elif isinstance(item, GateOp):
+                # Only in-range bits are ever written, so this also
+                # rejects an out-of-range condition.
+                cond = item.classical_condition
+                if cond is not None and cond not in written:
+                    raise CircuitError(f"conditional gate reads classical bit {cond} "
+                                       "before any measurement writes it", pos)

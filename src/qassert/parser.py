@@ -22,17 +22,17 @@ from __future__ import annotations
 
 import re
 
-from .assertions import AssertionDirective, AssertionKind
-from .errors import ParseError
-from .sim import (
+from .errors import CircuitError, ParseError
+from .ir import (
     CONTROLLED_GATES,
-    Circuit,
     FIXED_GATES,
+    PARAMETERIZED,
+    ROTATION_GATES,
+    AssertionDirective,
+    AssertionKind,
+    Circuit,
     GateOp,
     Measurement,
-    PARAMETERIZED,
-    QUBIT_CAP,
-    ROTATION_GATES,
 )
 
 _TOKEN = re.compile(r"\S+")
@@ -70,10 +70,14 @@ def _tokenize(text: str) -> list[_Statement]:
 
 
 class _Parser:
+    """Syntax and token-level checks only. Every rule of the circuit IR is
+    checked by its constructors and by Circuit.validate, whose errors are
+    mapped back to the statement that made the offending item."""
+
     def __init__(self):
         self.n_qubits = 0
         self.items: list = []
-        self.written_cbits: set[int] = set()
+        self.sources: list[_Statement] = []  # the statement of each item
         self.max_cbit = -1
 
     def parse_int(self, stmt: _Statement, pos: int, what: str) -> int:
@@ -84,6 +88,7 @@ class _Parser:
             raise stmt.error(f"expected {what}, got {token!r}", pos) from None
 
     def parse_qubit(self, stmt: _Statement, pos: int) -> int:
+        # Circuit.validate checks this too; here the error points at the token.
         q = self.parse_int(stmt, pos, "a qubit index")
         if not 0 <= q < self.n_qubits:
             raise stmt.error(
@@ -124,19 +129,13 @@ class _Parser:
         elif kind in {"cx", "cz"}:
             self.expect_arity(stmt, tokens, 2, f"{kind} QC QT")
             controls, targets = (qubit(1),), (qubit(2),)
-            if controls == targets:
-                raise stmt.error("control and target must differ", offset + 2)
         elif kind == "cr1":
             self.expect_arity(stmt, tokens, 3, "cr1 ANGLE QC QT")
             angle = self.parse_angle(stmt, offset + 1)
             controls, targets = (qubit(2),), (qubit(3),)
-            if controls == targets:
-                raise stmt.error("control and target must differ", offset + 3)
         elif kind == "swap":
             self.expect_arity(stmt, tokens, 2, "swap Q1 Q2")
             targets = (qubit(1), qubit(2))
-            if targets[0] == targets[1]:
-                raise stmt.error("swap qubits must differ", offset + 2)
         else:
             raise stmt.error(f"unknown gate {kind!r}", offset)
         try:
@@ -166,15 +165,11 @@ class _Parser:
                     options["alpha"] = float(value)
                 except ValueError:
                     raise stmt.error(f"alpha must be a number, got {value!r}", pos) from None
-                if not 0.0 < options["alpha"] < 1.0:
-                    raise stmt.error(f"alpha must be in (0, 1), got {value}", pos)
             elif key in {"shots", "resamples"}:
                 try:
                     options[key] = int(value)
                 except ValueError:
                     raise stmt.error(f"{key} must be an integer, got {value!r}", pos) from None
-                if options[key] < 1:
-                    raise stmt.error(f"{key} must be >= 1, got {value}", pos)
             elif key == "expect":
                 options["expect"] = value
             elif key == "verdict":
@@ -220,33 +215,24 @@ class _Parser:
 
     def parse_assertion(self, stmt: _Statement) -> AssertionDirective:
         kind = _ASSERT_KINDS[stmt.tokens[0][0]]
+        qubits: list[int] = []
+        group0 = group1 = ()
         if kind == AssertionKind.PRODUCT:
-            group0, after0 = self.parse_group(stmt, 1)
-            group1, after1 = self.parse_group(stmt, after0)
-            options = self.parse_options(stmt, after1, kind)
-            if set(group0) & set(group1):
-                raise stmt.error(
-                    f"product groups overlap: {sorted(set(group0) & set(group1))}", 1)
-            try:
-                return AssertionDirective(
-                    kind, group0=group0, group1=group1,
-                    alpha=options.get("alpha"), shots=options.get("shots"),
-                    resamples=options.get("resamples"),
-                    expected_verdict=options.get("verdict"))
-            except ValueError as exc:
-                raise stmt.error(str(exc), 0) from None
-        qubits = []
-        pos = 1
-        while pos < len(stmt.tokens) and "=" not in stmt.tokens[pos][0]:
-            qubits.append(self.parse_qubit(stmt, pos))
-            pos += 1
-        if not qubits:
-            raise stmt.error("assertion needs at least one qubit index", pos)
+            group0, pos = self.parse_group(stmt, 1)
+            group1, pos = self.parse_group(stmt, pos)
+        else:
+            pos = 1
+            while pos < len(stmt.tokens) and "=" not in stmt.tokens[pos][0]:
+                qubits.append(self.parse_qubit(stmt, pos))
+                pos += 1
+            if not qubits:
+                raise stmt.error("assertion needs at least one qubit index", pos)
         options = self.parse_options(stmt, pos, kind)
         try:
             return AssertionDirective(
-                kind, qubits=tuple(qubits), alpha=options.get("alpha"),
-                shots=options.get("shots"),
+                kind, qubits=tuple(qubits), group0=group0, group1=group1,
+                alpha=options.get("alpha"), shots=options.get("shots"),
+                resamples=options.get("resamples"),
                 expected_bitstring=options.get("expect"),
                 expected_verdict=options.get("verdict"))
         except ValueError as exc:
@@ -261,26 +247,27 @@ class _Parser:
                 raise stmt.error("usage: measure Q -> CB", 0)
             q = self.parse_qubit(stmt, 1)
             cbit = self.parse_int(stmt, 3, "a classical bit index")
-            if cbit < 0:
-                raise stmt.error(f"classical bit index must be >= 0, got {cbit}", 3)
-            self.items.append(Measurement(q, cbit))
-            self.written_cbits.add(cbit)
             self.max_cbit = max(self.max_cbit, cbit)
-            return
-        if head == "cif":
+            item = Measurement(q, cbit)
+        elif head == "cif":
             if len(stmt.tokens) < 3:
                 raise stmt.error("usage: cif CB GATE...", 0)
             cbit = self.parse_int(stmt, 1, "a classical bit index")
-            if cbit not in self.written_cbits:
-                raise stmt.error(
-                    f"classical bit {cbit} is read before any measurement writes it", 1)
-            gate = self.parse_gate(stmt, stmt.tokens[2:], 2, condition=cbit)
-            self.items.append(gate)
-            return
-        if head in _ASSERT_KINDS:
-            self.items.append(self.parse_assertion(stmt))
-            return
-        self.items.append(self.parse_gate(stmt, stmt.tokens, 0, condition=None))
+            item = self.parse_gate(stmt, stmt.tokens[2:], 2, condition=cbit)
+        elif head in _ASSERT_KINDS:
+            item = self.parse_assertion(stmt)
+        else:
+            item = self.parse_gate(stmt, stmt.tokens, 0, condition=None)
+        self.items.append(item)
+        self.sources.append(stmt)
+
+    def validate(self, circuit: Circuit, header: _Statement) -> None:
+        try:
+            circuit.validate()
+        except CircuitError as exc:
+            if exc.item is None:  # the qubit count
+                raise header.error(exc.message, 1) from None
+            raise self.sources[exc.item].error(exc.message, 0) from None
 
     def run(self, text: str) -> Circuit:
         statements = _tokenize(text)
@@ -291,14 +278,13 @@ class _Parser:
             raise first.error("circuit file must start with 'qubits N'", 0)
         if len(first.tokens) != 2:
             raise first.error("usage: qubits N", 0)
-        n = self.parse_int(first, 1, "a qubit count")
-        if not 0 < n <= QUBIT_CAP:
-            raise first.error(f"qubit count must be in 1..{QUBIT_CAP}, got {n}", 1)
-        self.n_qubits = n
+        self.n_qubits = self.parse_int(first, 1, "a qubit count")
+        circuit = Circuit(self.n_qubits, 0, self.items)
+        self.validate(circuit, first)  # the count, before any qubit index
         for stmt in statements[1:]:
             self.parse_statement(stmt)
-        circuit = Circuit(self.n_qubits, self.max_cbit + 1, self.items)
-        circuit.validate()
+        circuit.n_classical_bits = self.max_cbit + 1
+        self.validate(circuit, first)
         return circuit
 
 

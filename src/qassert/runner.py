@@ -13,38 +13,12 @@ import json
 from dataclasses import dataclass, field
 
 from ._rng import STREAM_VERSION
-from .assertions import (
-    DEFAULT_ALPHA,
-    AssertionDirective,
-    AssertionKind,
-    AssertionResult,
-    evaluate_checkpoint,
-)
+from .assertions import AssertionResult, ProgramConfig, evaluate_checkpoint
 from .errors import QAssertError
-from .sim import Circuit
-from .stats import DEFAULT_RESAMPLES
+from .ir import AssertionDirective, AssertionKind, Circuit
 
 TEXT = "text"
 JSON = "json"
-
-
-@dataclass
-class ProgramConfig:
-    """Run-wide defaults and overrides for checkpoint evaluation."""
-
-    shots: int | None = None
-    seed: int = 0
-    alpha: float = DEFAULT_ALPHA
-    resamples: int = DEFAULT_RESAMPLES
-    legacy_chisq: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.resamples < 1:
-            raise ValueError(f"resamples must be >= 1, got {self.resamples}")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
 
 
 @dataclass

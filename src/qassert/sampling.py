@@ -20,7 +20,8 @@ import numpy as np
 
 from ._rng import LANE_SHOTS, substream
 from .errors import CapacityError
-from .sim import Circuit, Measurement, walk
+from .ir import Circuit, Measurement
+from .sim import walk
 from .sim import run_trajectory  # noqa: F401  bench/spans.py traces it under this name
 
 DEFAULT_SHOTS = 1000

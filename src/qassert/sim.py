@@ -7,20 +7,13 @@ formatted bitstring. Preparing |q0=1, q1=0> therefore reads "10".
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, CircuitError
-
-QUBIT_CAP = 20
-
-FIXED_GATES = frozenset({"h", "x", "y", "z", "s", "t"})
-ROTATION_GATES = frozenset({"rx", "ry", "rz", "r1"})
-CONTROLLED_GATES = frozenset({"cx", "cz", "cr1"})
-GATE_KINDS = FIXED_GATES | ROTATION_GATES | CONTROLLED_GATES | {"swap"}
-PARAMETERIZED = frozenset({"rx", "ry", "rz", "r1", "cr1"})
+from .ir import PARAMETERIZED  # noqa: F401  re-exported; callers import it from sim
+from .ir import CONTROLLED_GATES, FIXED_GATES, QUBIT_CAP, Circuit, GateOp, Measurement
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _FIXED_MATRICES = {
@@ -46,93 +39,6 @@ def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
     if kind == "r1":
         return np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=np.complex128)
     raise ValueError(f"not a rotation gate: {kind!r}")
-
-
-@dataclass(frozen=True)
-class GateOp:
-    """One gate application: kind, qubits, optional angle and classical guard.
-
-    Controlled kinds (cx, cz, cr1) carry their control in `controls` and the
-    acted-on qubit in `targets`. A gate with `classical_condition` set is
-    applied only when that classical bit holds 1 at execution time.
-    """
-
-    kind: str
-    targets: tuple[int, ...]
-    controls: tuple[int, ...] = ()
-    angle: float | None = None
-    classical_condition: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if (self.angle is not None) != (self.kind in PARAMETERIZED):
-            raise ValueError(f"gate {self.kind!r}: angle present iff parameterized")
-        if self.angle is not None and not math.isfinite(self.angle):
-            raise ValueError(f"gate {self.kind!r}: angle must be finite, got {self.angle}")
-        qubits = self.targets + self.controls
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"gate {self.kind!r}: qubit indices must be distinct")
-
-    def qubits(self) -> tuple[int, ...]:
-        return self.targets + self.controls
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """Mid-circuit projective measurement of one qubit into a classical bit."""
-
-    qubit: int
-    cbit: int
-
-
-@dataclass
-class Circuit:
-    """Ordered gate/measurement/assertion-directive program on n_qubits."""
-
-    n_qubits: int
-    n_classical_bits: int = 0
-    items: list = field(default_factory=list)
-
-    def __eq__(self, other):
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return (self.n_qubits == other.n_qubits
-                and self.n_classical_bits == other.n_classical_bits
-                and self.items == other.items)
-
-    def validate(self) -> None:
-        """Check structural invariants; raises CircuitError on violation."""
-        from .assertions import AssertionDirective
-
-        if not 0 < self.n_qubits <= QUBIT_CAP:
-            raise CircuitError(f"n_qubits must be in 1..{QUBIT_CAP}, got {self.n_qubits}")
-        written: set[int] = set()
-        for pos, item in enumerate(self.items):
-            if isinstance(item, GateOp):
-                for q in item.qubits():
-                    if not 0 <= q < self.n_qubits:
-                        raise CircuitError(f"item {pos}: qubit index {q} out of range")
-                cond = item.classical_condition
-                if cond is not None:
-                    if not 0 <= cond < self.n_classical_bits:
-                        raise CircuitError(f"item {pos}: classical bit {cond} out of range")
-                    if cond not in written:
-                        raise CircuitError(
-                            f"item {pos}: conditional gate reads classical bit {cond} "
-                            "before any measurement writes it")
-            elif isinstance(item, Measurement):
-                if not 0 <= item.qubit < self.n_qubits:
-                    raise CircuitError(f"item {pos}: measured qubit {item.qubit} out of range")
-                if not 0 <= item.cbit < self.n_classical_bits:
-                    raise CircuitError(f"item {pos}: classical bit {item.cbit} out of range")
-                written.add(item.cbit)
-            elif isinstance(item, AssertionDirective):
-                for q in item.all_qubits():
-                    if not 0 <= q < self.n_qubits:
-                        raise CircuitError(f"item {pos}: assertion qubit {q} out of range")
-            else:
-                raise CircuitError(f"item {pos}: unsupported item {item!r}")
 
 
 @dataclass(eq=False)
@@ -163,6 +69,8 @@ def new_state(n_qubits: int) -> StateVector:
 
 
 def _check_qubit(state: StateVector, q: int) -> None:
+    # Public entry points take circuits that no validate() has seen, and a
+    # negative index would silently address another qubit's axis.
     if not 0 <= q < state.n_qubits:
         raise IndexError(f"qubit index {q} out of range for {state.n_qubits} qubits")
 
@@ -214,7 +122,7 @@ _BRANCH_EPS = 1e-15
 def _prob_one(state: StateVector, q: int) -> float:
     """Probability that measuring qubit q reads 1, with near-impossible
     outcomes (at or below _BRANCH_EPS) snapped to exactly 0 or 1."""
-    _check_qubit(state, q)
+    _check_qubit(state, q)  # walk and measure_qubit reach here unvalidated
     ones = _half(state, q, 1)
     p1 = min(max(float(np.vdot(ones, ones).real), 0.0), 1.0)
     if p1 <= _BRANCH_EPS:
@@ -276,6 +184,7 @@ def walk(circuit: Circuit, upto: int | None = None,
             elif isinstance(item, GateOp):
                 cond = item.classical_condition
                 if cond is not None:
+                    # Circuit.validate's rule, kept for unvalidated callers of sample.
                     if cond not in bits:
                         raise CircuitError(f"conditional gate reads classical bit "
                                            f"{cond} before it is written")

@@ -1,9 +1,13 @@
 """CLI behavior: subcommands, flags, exit codes, report formats."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qassert.cli import main
 from qassert.parser import parse_circuit
@@ -202,3 +206,55 @@ class TestRenderReport:
         assert "InfeasibleShotsError" in rendered
         payload = json.loads(render_report(report, "json"))
         assert payload["summary"]["errors"] == 1
+
+
+# Circuit-file grammar fuzzing: valid statements with some tokens swapped
+# for malformed ones, a token dropped, or a stray token added.
+_BAD_TOKENS = ["nan", "inf", "-inf", "1e400", "-1", "-7", "12345678901234567890",
+               "\u0663", "\u0661.5", "[", "]", "[0", "1]", "[]", "->", "=", "x"]
+_TOKEN = st.sampled_from(_BAD_TOKENS)
+_QUBIT = st.one_of(st.sampled_from(["0", "1", "2"]), _TOKEN)
+_ANGLE = st.one_of(st.sampled_from(["0.5", "-1.25", "3.141592653589793"]), _TOKEN)
+_GROUP = st.lists(_QUBIT, max_size=3).map(lambda qs: "[" + " ".join(qs) + "]")
+_OPTION = st.sampled_from([
+    "", "alpha=0.05", "alpha=nan", "alpha=1.5", "alpha=", "shots=100", "shots=0",
+    "shots=" + "9" * 30, "shots=\u0665", "resamples=19", "resamples=-3",
+    "verdict=pass", "verdict=fail", "verdict=maybe", "expect=01", "expect=2", "=",
+])
+_ARGUMENTS = {
+    "h": [_QUBIT], "rx": [_ANGLE, _QUBIT], "cx": [_QUBIT, _QUBIT],
+    "cr1": [_ANGLE, _QUBIT, _QUBIT], "swap": [_QUBIT, _QUBIT],
+    "measure": [_QUBIT, st.just("->"), _QUBIT], "cif": [_QUBIT, st.just("x"), _QUBIT],
+    "assert_classical": [_QUBIT, _QUBIT, _OPTION], "assert_uniform": [_QUBIT, _OPTION],
+    "assert_product": [_GROUP, _GROUP, _OPTION, _OPTION], "qubits": [_QUBIT],
+}
+
+
+@st.composite
+def _statement(draw):
+    head = draw(st.sampled_from(sorted(_ARGUMENTS)))
+    tokens = [head] + [draw(arg) for arg in _ARGUMENTS[head]]
+    edit = draw(st.sampled_from(["keep", "keep", "drop", "add"]))
+    if edit == "drop":
+        del tokens[draw(st.integers(1, len(tokens) - 1))]
+    elif edit == "add":
+        tokens.insert(draw(st.integers(1, len(tokens))), draw(_TOKEN))
+    return " ".join(tokens)
+
+
+_HEADER = st.one_of(st.sampled_from(["1", "2", "3"]),
+                    st.sampled_from(["0", "21", "\u0662", "nan", "-1", "9" * 20]))
+
+
+class TestCircuitFileFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=_HEADER, body=st.lists(_statement(), max_size=6))
+    def test_no_exception_escapes_the_cli(self, tmp_path, header, body):
+        path = tmp_path / "fuzz.qc"
+        path.write_text("\n".join([f"qubits {header}"] + body) + "\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", str(path), "--shots", "50", "--resamples", "19"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

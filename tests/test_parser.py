@@ -164,6 +164,35 @@ class TestParseErrors:
             parse_circuit("qubits 2\ncx 1 1\n")
 
 
+# Statements before and after the offending one, so that the reported line
+# is not the statement's item position.
+_BEFORE = "qubits 3\n# setup\nh 0\n\nmeasure 0 -> 0\n"
+_AFTER = "x 2\nmeasure 1 -> 1\n"
+
+
+@pytest.mark.parametrize("text, line, keyword", [
+    ("qubits 2\ncif 0 x 1\n", 2, "before"),
+    (_BEFORE + "cif 1 x 2\n" + _AFTER, 6, "before"),
+    (_BEFORE + "cx 1 1\n" + _AFTER, 6, "differ"),
+    (_BEFORE + "cr1 0.5 1 1\n" + _AFTER, 6, "differ"),
+    (_BEFORE + "swap 0 0\n" + _AFTER, 6, "differ"),
+    (_BEFORE + "assert_product [0 1] [1 2]\n" + _AFTER, 6, "overlap: [1]"),
+    (_BEFORE + "assert_uniform 0 alpha=1.5\n" + _AFTER, 6, "alpha"),
+    (_BEFORE + "assert_uniform 0 shots=0\n" + _AFTER, 6, "shots"),
+    (_BEFORE + "assert_product [0] [1] resamples=0\n" + _AFTER, 6, "resamples"),
+    (_BEFORE + "measure 0 -> -1\n" + _AFTER, 6, "-1"),
+    (_BEFORE + "assert_classical 0 expect=2\n" + _AFTER, 6, "0/1"),
+])
+def test_ir_checks_report_the_statement_line(text, line, keyword):
+    # These rules live in the circuit types; the parser maps their errors
+    # back to the source line of the offending statement.
+    with pytest.raises(ParseError) as exc_info:
+        parse_circuit(text)
+    assert exc_info.value.line == line
+    assert keyword in str(exc_info.value)
+    assert "item" not in str(exc_info.value)
+
+
 KITCHEN_SINK = """\
 qubits 4
 h 0

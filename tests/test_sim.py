@@ -339,3 +339,16 @@ class TestCircuitValidate:
     def test_measurement_bit_range(self):
         with pytest.raises(CircuitError):
             Circuit(1, 1, [Measurement(0, 5)]).validate()
+
+
+class TestUnvalidatedCircuitGuards:
+    # `sample` and `measure_qubit` take circuits and qubits that no
+    # validate() has seen; a negative index must not wrap to another qubit.
+    def test_sample_rejects_negative_measured_qubit(self):
+        circuit = Circuit(2, 1, [GateOp("x", (1,)), Measurement(-1, 0)])
+        with pytest.raises(IndexError):
+            sample(circuit, None, 10)
+
+    def test_measure_qubit_rejects_negative_qubit(self):
+        with pytest.raises(IndexError):
+            measure_qubit(new_state(2), -1, rng_for(0))
