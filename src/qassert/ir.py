@@ -18,11 +18,26 @@ from .errors import CircuitError
 
 QUBIT_CAP = 20
 
-FIXED_GATES = frozenset({"h", "x", "y", "z", "s", "t"})
-ROTATION_GATES = frozenset({"rx", "ry", "rz", "r1"})
-CONTROLLED_GATES = frozenset({"cx", "cz", "cr1"})
-GATE_KINDS = FIXED_GATES | ROTATION_GATES | CONTROLLED_GATES | {"swap"}
-PARAMETERIZED = frozenset({"rx", "ry", "rz", "r1", "cr1"})
+# Every gate kind: (controls, targets, takes an angle, the kind whose 2x2
+# matrix it applies to its target, or None for swap). A circuit file lists
+# its operands as angle, controls, targets.
+GATES = {
+    "h": (0, 1, False, "h"),
+    "x": (0, 1, False, "x"),
+    "y": (0, 1, False, "y"),
+    "z": (0, 1, False, "z"),
+    "s": (0, 1, False, "s"),
+    "t": (0, 1, False, "t"),
+    "rx": (0, 1, True, "rx"),
+    "ry": (0, 1, True, "ry"),
+    "rz": (0, 1, True, "rz"),
+    "r1": (0, 1, True, "r1"),
+    "cx": (1, 1, False, "x"),
+    "cz": (1, 1, False, "z"),
+    "cr1": (1, 1, True, "r1"),
+    "swap": (0, 2, False, None),
+}
+PARAMETERIZED = frozenset(kind for kind, (_, _, angle, _) in GATES.items() if angle)
 
 
 def check_run_parameters(alpha: float | None, shots: int | None,
@@ -48,8 +63,8 @@ def check_expected_bitstring(bits: str, n_qubits: int) -> None:
 class GateOp:
     """One gate application: kind, qubits, optional angle and classical guard.
 
-    Controlled kinds (cx, cz, cr1) carry their control in `controls` and the
-    acted-on qubit in `targets`. A gate with `classical_condition` set is
+    `GATES[kind]` fixes how many `controls` and `targets` the gate takes and
+    whether it takes an angle. A gate with `classical_condition` set is
     applied only when that classical bit holds 1 at execution time.
     """
 
@@ -60,11 +75,17 @@ class GateOp:
     classical_condition: int | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        spec = GATES.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if (self.angle is not None) != (self.kind in PARAMETERIZED):
-            raise ValueError(f"gate {self.kind!r}: angle present iff parameterized")
-        if self.angle is not None and not math.isfinite(self.angle):
+        n_controls, n_targets, takes_angle, _ = spec
+        if (len(self.controls) != n_controls or len(self.targets) != n_targets
+                or (self.angle is not None) != takes_angle):
+            raise ValueError(
+                f"gate {self.kind!r} takes {n_controls} control(s), {n_targets} "
+                f"target(s) and {'an' if takes_angle else 'no'} angle, got controls "
+                f"{list(self.controls)}, targets {list(self.targets)}, angle {self.angle}")
+        if takes_angle and not math.isfinite(self.angle):
             raise ValueError(f"gate {self.kind!r}: angle must be finite, got {self.angle}")
         qubits = self.qubits()
         if len(set(qubits)) != len(qubits):
@@ -123,6 +144,8 @@ class AssertionDirective:
             if len(set(group)) != len(group):
                 raise ValueError(f"assertion qubits must be distinct, got {list(group)}")
         check_run_parameters(self.alpha, self.shots, self.resamples)
+        if self.resamples is not None and self.kind != AssertionKind.PRODUCT:
+            raise ValueError("resamples only applies to product assertions")
         if self.expected_bitstring is not None:
             if self.kind != AssertionKind.CLASSICAL:
                 raise ValueError("expected_bitstring only applies to classical assertions")

@@ -14,7 +14,9 @@ One statement per line, `#` starts a comment, whitespace separates tokens:
     assert_uniform Q... [alpha=A] [shots=S] [verdict=pass|fail]
     assert_product [Q...] [Q...] [alpha=A] [shots=S] [resamples=R] [verdict=pass|fail]
 
-Angles are decimal radians. The `qubits` declaration must come first.
+A gate lists its angle, controls and targets in that order, with the
+counts `ir.GATES` gives its kind. Angles are decimal radians. The `qubits`
+declaration must come first.
 `cif CB` applies the rest of the line only when classical bit CB is 1.
 """
 
@@ -23,17 +25,7 @@ from __future__ import annotations
 import re
 
 from .errors import CircuitError, ParseError
-from .ir import (
-    CONTROLLED_GATES,
-    FIXED_GATES,
-    PARAMETERIZED,
-    ROTATION_GATES,
-    AssertionDirective,
-    AssertionKind,
-    Circuit,
-    GateOp,
-    Measurement,
-)
+from .ir import GATES, AssertionDirective, AssertionKind, Circuit, GateOp, Measurement
 
 _TOKEN = re.compile(r"\S+")
 
@@ -69,6 +61,14 @@ def _tokenize(text: str) -> list[_Statement]:
     return statements
 
 
+def _usage(kind: str) -> str:
+    """A gate statement's operand template, such as `cr1 ANGLE QC QT`."""
+    n_controls, n_targets, takes_angle, _ = GATES[kind]
+    target = "QT" if n_controls else "Q"
+    targets = [target] if n_targets == 1 else [f"{target}{i + 1}" for i in range(n_targets)]
+    return " ".join([kind] + ["ANGLE"] * takes_angle + ["QC"] * n_controls + targets)
+
+
 class _Parser:
     """Syntax and token-level checks only. Every rule of the circuit IR is
     checked by its constructors and by Circuit.validate, whose errors are
@@ -102,46 +102,27 @@ class _Parser:
         except ValueError:
             raise stmt.error(f"expected an angle in radians, got {token!r}", pos) from None
 
-    def expect_arity(self, stmt: _Statement, tokens: list[tuple[str, int]],
-                     count: int, usage: str) -> None:
-        if len(tokens) - 1 != count:
-            raise stmt.error(
-                f"{tokens[0][0]!r} takes {count} argument(s): {usage}",
-                1 if len(tokens) > 1 else 0)
-
-    def parse_gate(self, stmt: _Statement, tokens: list[tuple[str, int]],
-                   offset: int, condition: int | None) -> GateOp:
-        """Parse a gate statement from `tokens` (a suffix of stmt.tokens)."""
-
-        def qubit(pos: int) -> int:
-            return self.parse_qubit(stmt, offset + pos)
-
-        kind = tokens[0][0]
-        controls: tuple[int, ...] = ()
-        angle = None
-        if kind in FIXED_GATES:
-            self.expect_arity(stmt, tokens, 1, f"{kind} Q")
-            targets = (qubit(1),)
-        elif kind in ROTATION_GATES:
-            self.expect_arity(stmt, tokens, 2, f"{kind} ANGLE Q")
-            angle = self.parse_angle(stmt, offset + 1)
-            targets = (qubit(2),)
-        elif kind in {"cx", "cz"}:
-            self.expect_arity(stmt, tokens, 2, f"{kind} QC QT")
-            controls, targets = (qubit(1),), (qubit(2),)
-        elif kind == "cr1":
-            self.expect_arity(stmt, tokens, 3, "cr1 ANGLE QC QT")
-            angle = self.parse_angle(stmt, offset + 1)
-            controls, targets = (qubit(2),), (qubit(3),)
-        elif kind == "swap":
-            self.expect_arity(stmt, tokens, 2, "swap Q1 Q2")
-            targets = (qubit(1), qubit(2))
-        else:
+    def parse_gate(self, stmt: _Statement, offset: int,
+                   condition: int | None) -> GateOp:
+        """Parse the gate at stmt.tokens[offset:]: its kind, then its angle,
+        controls and targets, in that order."""
+        kind = stmt.tokens[offset][0]
+        spec = GATES.get(kind)
+        if spec is None:
             raise stmt.error(f"unknown gate {kind!r}", offset)
+        n_controls, n_targets, takes_angle, _ = spec
+        pos = offset + 1
+        count = takes_angle + n_controls + n_targets
+        if len(stmt.tokens) - pos != count:
+            raise stmt.error(f"{kind!r} takes {count} argument(s): {_usage(kind)}",
+                             pos if len(stmt.tokens) > pos else offset)
+        angle = self.parse_angle(stmt, pos) if takes_angle else None
+        qubits = tuple([self.parse_qubit(stmt, p)
+                        for p in range(pos + takes_angle, len(stmt.tokens))])
         try:
-            return GateOp(kind, targets, controls, angle, condition)
+            return GateOp(kind, qubits[n_controls:], qubits[:n_controls], angle, condition)
         except ValueError as exc:
-            raise stmt.error(str(exc), offset + 1) from None
+            raise stmt.error(str(exc), pos) from None
 
     def parse_options(self, stmt: _Statement, start: int, kind: AssertionKind) -> dict:
         allowed = {"alpha", "shots", "verdict"}
@@ -253,11 +234,11 @@ class _Parser:
             if len(stmt.tokens) < 3:
                 raise stmt.error("usage: cif CB GATE...", 0)
             cbit = self.parse_int(stmt, 1, "a classical bit index")
-            item = self.parse_gate(stmt, stmt.tokens[2:], 2, condition=cbit)
+            item = self.parse_gate(stmt, 2, condition=cbit)
         elif head in _ASSERT_KINDS:
             item = self.parse_assertion(stmt)
         else:
-            item = self.parse_gate(stmt, stmt.tokens, 0, condition=None)
+            item = self.parse_gate(stmt, 0, condition=None)
         self.items.append(item)
         self.sources.append(stmt)
 
@@ -325,15 +306,10 @@ def render_circuit(circuit: Circuit) -> str:
                 qs = " ".join(str(q) for q in item.qubits)
                 lines.append(f"{name} {qs}{_format_options(item)}")
         else:
-            prefix = f"cif {item.classical_condition} " \
-                if item.classical_condition is not None else ""
-            kind = item.kind
-            if kind in CONTROLLED_GATES:
-                args = f"{item.controls[0]} {item.targets[0]}"
-            else:
-                args = " ".join(str(q) for q in item.targets)
-            if kind in PARAMETERIZED:
-                lines.append(f"{prefix}{kind} {item.angle!r} {args}")
-            else:
-                lines.append(f"{prefix}{kind} {args}")
+            words = [item.kind] if item.classical_condition is None else \
+                ["cif", str(item.classical_condition), item.kind]
+            if item.angle is not None:
+                words.append(repr(item.angle))
+            words += (str(q) for q in item.controls + item.targets)
+            lines.append(" ".join(words))
     return "\n".join(lines) + "\n"

@@ -2,9 +2,10 @@
 
 A run walks the circuit in order, evaluates each assertion directive with
 `evaluate_checkpoint`, and collects the results into a RunReport that can be
-rendered as human-readable text or as stable JSON. The process exit status
-is 0 exactly when no checkpoint errored and every directive that declares an
-expected verdict matched it.
+rendered as human-readable text or as stable JSON. Any exception raised by one
+checkpoint becomes that checkpoint's error, and the run goes on. The process
+exit status is 0 exactly when no checkpoint errored and every directive that
+declares an expected verdict matched it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 from ._rng import STREAM_VERSION
 from .assertions import AssertionResult, ProgramConfig, evaluate_checkpoint
-from .errors import QAssertError
 from .ir import AssertionDirective, AssertionKind, Circuit
 
 TEXT = "text"
@@ -67,7 +67,7 @@ def run_program(circuit: Circuit, config: ProgramConfig | None = None) -> RunRep
         entry = CheckpointReport(index=index)
         try:
             entry.result = evaluate_checkpoint(circuit, index, config)
-        except QAssertError as exc:
+        except Exception as exc:  # one faulty checkpoint must not hide the rest
             entry.error = f"{type(exc).__name__}: {exc}"
         report.checkpoints.append(entry)
     return report

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CapacityError, CircuitError
 from .ir import PARAMETERIZED  # noqa: F401  re-exported; callers import it from sim
-from .ir import CONTROLLED_GATES, FIXED_GATES, QUBIT_CAP, Circuit, GateOp, Measurement
+from .ir import GATES, QUBIT_CAP, Circuit, GateOp, Measurement
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _FIXED_MATRICES = {
@@ -36,9 +36,7 @@ def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
     if kind == "rz":
         return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]],
                         dtype=np.complex128)
-    if kind == "r1":
-        return np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=np.complex128)
-    raise ValueError(f"not a rotation gate: {kind!r}")
+    return np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=np.complex128)  # r1
 
 
 @dataclass(eq=False)
@@ -88,12 +86,9 @@ def _half(state: StateVector, q: int, bit: int,
 
 
 def _gate_matrix(gate: GateOp) -> np.ndarray:
-    """The 2x2 matrix a gate applies to its target; cx, cz and cr1 use
-    the matrix of x, z and r1."""
-    kind = gate.kind[1:] if gate.kind in CONTROLLED_GATES else gate.kind
-    if kind in FIXED_GATES:
-        return _FIXED_MATRICES[kind]
-    return _rotation_matrix(kind, gate.angle)
+    """The 2x2 matrix a gate applies to its target: that of its base kind."""
+    _, _, takes_angle, base = GATES[gate.kind]
+    return _rotation_matrix(base, gate.angle) if takes_angle else _FIXED_MATRICES[base]
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qassert import runner
 from qassert.cli import main
 from qassert.parser import parse_circuit
 from qassert.runner import ProgramConfig, render_report, run_program
@@ -206,6 +207,51 @@ class TestRenderReport:
         assert "InfeasibleShotsError" in rendered
         payload = json.loads(render_report(report, "json"))
         assert payload["summary"]["errors"] == 1
+
+
+THREE_CHECKPOINTS = ("qubits 2\nh 0\nassert_uniform 0\nx 1\n"
+                     "assert_classical 1 expect=1\nassert_product [0] [1]\n")
+
+
+@pytest.fixture
+def second_checkpoint_raises(monkeypatch):
+    """Make evaluating the second checkpoint raise a non-qassert exception."""
+    evaluate = runner.evaluate_checkpoint
+    calls = []
+
+    def flaky(circuit, index, config):
+        calls.append(index)
+        if len(calls) == 2:
+            raise RuntimeError("injected fault")
+        return evaluate(circuit, index, config)
+
+    monkeypatch.setattr(runner, "evaluate_checkpoint", flaky)
+
+
+class TestFaultContainment:
+    def test_fault_is_that_checkpoints_error_and_the_trail_goes_on(
+            self, second_checkpoint_raises):
+        report = run_program(parse_circuit(THREE_CHECKPOINTS),
+                             ProgramConfig(shots=200, resamples=99))
+        first, second, third = report.checkpoints
+        assert first.result is not None and third.result is not None
+        assert second.result is None
+        assert second.error == "RuntimeError: injected fault"
+        assert report.exit_status() == 1
+        assert "#3 ERROR RuntimeError: injected fault" in render_report(report, "text")
+        payload = json.loads(render_report(report, "json"))
+        assert payload["checkpoints"][1] == {"index": 3, "error": "RuntimeError: injected fault"}
+        assert payload["summary"]["errors"] == 1
+        assert payload["summary"]["checkpoints"] == 3
+
+    def test_cli_reports_the_fault_without_a_traceback(
+            self, second_checkpoint_raises, capsys, tmp_path):
+        path = tmp_path / "three.qc"
+        path.write_text(THREE_CHECKPOINTS)
+        code, out, err = run_cli(capsys, "run", str(path), "--format", "json")
+        assert code == 1
+        assert [c["index"] for c in json.loads(out)["checkpoints"]] == [1, 3, 4]
+        assert "Traceback" not in out + err
 
 
 # Circuit-file grammar fuzzing: valid statements with some tokens swapped

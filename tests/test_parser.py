@@ -1,5 +1,6 @@
 """Circuit file parsing, rendering, and round-trips."""
 
+import re
 from importlib import resources
 
 import pytest
@@ -7,12 +8,24 @@ import pytest
 from qassert.assertions import AssertionDirective, AssertionKind
 from qassert.errors import ParseError
 from qassert.examples import build_bell, build_bv, build_qft, build_teleport, build_xgate
+from qassert.ir import Circuit
 from qassert.parser import parse_circuit, render_circuit
 from qassert.sim import GateOp, Measurement
 
 
 def shipped(name: str) -> str:
     return (resources.files("qassert") / "circuits" / f"{name}.qc").read_text()
+
+
+# Every gate kind: well-formed operands on a 3-qubit circuit, and its usage.
+GATE_STATEMENTS = [
+    *[(kind, "0", f"{kind} Q") for kind in ["h", "x", "y", "z", "s", "t"]],
+    *[(kind, "0.5 0", f"{kind} ANGLE Q") for kind in ["rx", "ry", "rz", "r1"]],
+    ("cx", "0 1", "cx QC QT"),
+    ("cz", "0 1", "cz QC QT"),
+    ("cr1", "0.5 0 1", "cr1 ANGLE QC QT"),
+    ("swap", "0 1", "swap Q1 Q2"),
+]
 
 
 class TestParse:
@@ -95,10 +108,14 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_circuit("qubits 21\n")
 
-    def test_bad_arity(self):
-        with pytest.raises(ParseError) as exc_info:
-            parse_circuit("qubits 2\ncx 0\n")
-        assert exc_info.value.line == 2
+    @pytest.mark.parametrize("kind, operands, usage", GATE_STATEMENTS)
+    @pytest.mark.parametrize("change", ["one too few", "one too many"])
+    def test_bad_arity(self, kind, operands, usage, change):
+        words = operands.split()
+        words = words[:-1] if change == "one too few" else words + ["2"]
+        with pytest.raises(ParseError, match=re.escape(usage)) as exc_info:
+            parse_circuit(f"qubits 3\nh 0\n{' '.join([kind] + words)}\nx 1\n")
+        assert exc_info.value.line == 3
 
     def test_index_out_of_range_with_column(self):
         with pytest.raises(ParseError) as exc_info:
@@ -230,6 +247,30 @@ class TestRoundTrip:
         once = render_circuit(circuit)
         twice = render_circuit(parse_circuit(once))
         assert once == twice
+
+    @pytest.mark.parametrize("kind, operands, usage", GATE_STATEMENTS)
+    def test_conditional_gate_of_each_kind_round_trips(self, kind, operands, usage):
+        text = f"qubits 3\nmeasure 2 -> 0\ncif 0 {kind} {operands}\n"
+        circuit = parse_circuit(text)
+        assert render_circuit(circuit) == text
+        assert parse_circuit(render_circuit(circuit)) == circuit
+
+    @pytest.mark.parametrize("kind", list(AssertionKind))
+    def test_every_option_a_directive_accepts_round_trips(self, kind):
+        # A directive must not hold an option that its statement cannot
+        # spell, such as resamples on a classical assertion.
+        groups = (dict(group0=(0,), group1=(1,)) if kind == AssertionKind.PRODUCT
+                  else dict(qubits=(0, 1)))
+        accepted = {}
+        for key, value in dict(alpha=0.05, shots=300, resamples=5, expected_bitstring="01",
+                               expected_verdict=False).items():
+            try:
+                AssertionDirective(kind, **groups, **{key: value})
+            except ValueError:
+                continue
+            accepted[key] = value
+        circuit = Circuit(2, 0, [AssertionDirective(kind, **groups, **accepted)])
+        assert parse_circuit(render_circuit(circuit)) == circuit
 
     @pytest.mark.parametrize("name", ["bell", "xgate", "teleport", "bv", "qft"])
     def test_shipped_files_round_trip(self, name):
