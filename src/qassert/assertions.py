@@ -22,7 +22,7 @@ from .ir import (
     check_expected_bitstring,
     check_run_parameters,
 )
-from .sampling import MeasurementDistribution, marginalize, sample
+from .sampling import HeldState, MeasurementDistribution, marginalize, sample
 from .sim import bitstring
 from .stats import (
     ContingencyTable,
@@ -117,7 +117,7 @@ def _classical_pvalue(marg: MeasurementDistribution, target: int) -> PValue:
 def assert_classical(circuit: Circuit, at: int | None, qubits,
                      expected_bitstring: str | None = None,
                      alpha: float = DEFAULT_ALPHA, shots: int | None = None,
-                     seed: int = 0) -> AssertionResult:
+                     seed: int = 0, held: HeldState | None = None) -> AssertionResult:
     """Test that the asserted qubits deterministically measure one bitstring.
 
     The null is a single sharp peak: all mass on the target bitstring, an
@@ -129,7 +129,7 @@ def assert_classical(circuit: Circuit, at: int | None, qubits,
     if expected_bitstring is not None:
         check_expected_bitstring(expected_bitstring, len(qubits))
     shots = shots if shots is not None else default_shots(AssertionKind.CLASSICAL)
-    marg = marginalize(sample(circuit, at, shots, seed), list(qubits))
+    marg = marginalize(sample(circuit, at, shots, seed, held), list(qubits))
     # Index order is bitstring order, so the first argmax is the
     # lexicographically smallest of tied modes.
     target = (int(expected_bitstring, 2) if expected_bitstring is not None
@@ -143,7 +143,7 @@ def assert_classical(circuit: Circuit, at: int | None, qubits,
 
 def assert_uniform(circuit: Circuit, at: int | None, qubits,
                    alpha: float = DEFAULT_ALPHA, shots: int | None = None,
-                   seed: int = 0) -> AssertionResult:
+                   seed: int = 0, held: HeldState | None = None) -> AssertionResult:
     """Test that the asserted qubits are in an equal superposition.
 
     Chi-square goodness of fit against probability 1/2^n for each of the
@@ -162,7 +162,7 @@ def assert_uniform(circuit: Circuit, at: int | None, qubits,
         warnings.warn(
             f"uniform assertion: expected count {per_cell:.2f} per outcome is "
             f"below 5; consider at least {5 * k} shots", stacklevel=2)
-    marg = marginalize(sample(circuit, at, shots, seed), list(qubits))
+    marg = marginalize(sample(circuit, at, shots, seed, held), list(qubits))
     p_value = chi_square_gof_pvalue(marg.counts, [1.0 / k] * k, shots)
     return AssertionResult(
         kind=AssertionKind.UNIFORM, qubits=qubits, group0=None, group1=None,
@@ -173,7 +173,8 @@ def assert_uniform(circuit: Circuit, at: int | None, qubits,
 def assert_product(circuit: Circuit, at: int | None, group0, group1,
                    alpha: float = DEFAULT_ALPHA, shots: int | None = None,
                    resamples: int | None = None, seed: int = 0,
-                   legacy_chisq: bool = False) -> AssertionResult:
+                   legacy_chisq: bool = False,
+                   held: HeldState | None = None) -> AssertionResult:
     """Test that two qubit groups are unentangled (statistically independent).
 
     Builds the full contingency table of the two groups and dispatches:
@@ -186,7 +187,7 @@ def assert_product(circuit: Circuit, at: int | None, group0, group1,
     group1 = tuple(group1)
     shots = shots if shots is not None else default_shots(AssertionKind.PRODUCT)
     resamples = resamples if resamples is not None else DEFAULT_RESAMPLES
-    dist = sample(circuit, at, shots, seed)
+    dist = sample(circuit, at, shots, seed, held)
     table = build_contingency_table(dist, group0, group1)
     if legacy_chisq:
         p_value = legacy_chisq_add1(table)
@@ -200,14 +201,15 @@ def assert_product(circuit: Circuit, at: int | None, group0, group1,
         shots_used=shots, table_shape=table.cells.shape)
 
 
-def evaluate_checkpoint(circuit: Circuit, index: int,
-                        config: ProgramConfig) -> AssertionResult:
+def evaluate_checkpoint(circuit: Circuit, index: int, config: ProgramConfig,
+                        held: HeldState | None = None) -> AssertionResult:
     """Evaluate the assertion directive at circuit.items[index].
 
     Parameter precedence: an explicit run-config shot override beats the
     directive, which beats the per-kind default; alpha and resamples fall
     back from directive to config. The checkpoint seed is derived from
-    (config seed, item index) so checkpoints sample independently.
+    (config seed, item index) so checkpoints sample independently. `held`
+    is the run's held prefix state, passed on to `sample`.
     """
     item = circuit.items[index]
     if not isinstance(item, AssertionDirective):
@@ -218,15 +220,16 @@ def evaluate_checkpoint(circuit: Circuit, index: int,
     if item.kind == AssertionKind.CLASSICAL:
         result = assert_classical(circuit, index, item.qubits,
                                   expected_bitstring=item.expected_bitstring,
-                                  alpha=alpha, shots=shots, seed=seed)
+                                  alpha=alpha, shots=shots, seed=seed, held=held)
     elif item.kind == AssertionKind.UNIFORM:
         result = assert_uniform(circuit, index, item.qubits, alpha=alpha,
-                                shots=shots, seed=seed)
+                                shots=shots, seed=seed, held=held)
     else:
         resamples = item.resamples if item.resamples is not None else config.resamples
         result = assert_product(circuit, index, item.group0, item.group1,
                                 alpha=alpha, shots=shots, resamples=resamples,
-                                seed=seed, legacy_chisq=config.legacy_chisq)
+                                seed=seed, legacy_chisq=config.legacy_chisq,
+                                held=held)
     result.expected_verdict = item.expected_verdict
     if item.expected_verdict is not None:
         result.matches_expected = result.passed == item.expected_verdict

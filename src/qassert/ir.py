@@ -11,12 +11,15 @@ position of the offending item.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import CircuitError
 
 QUBIT_CAP = 20
+# Classical bits a circuit may have; a measurement's bit index is below it.
+CBIT_CAP = 1024
 
 # Every gate kind: (controls, targets, takes an angle, the kind whose 2x2
 # matrix it applies to its target, or None for swap). A circuit file lists
@@ -59,6 +62,16 @@ def check_expected_bitstring(bits: str, n_qubits: int) -> None:
                          f"{n_qubits} characters of 0/1")
 
 
+def _check_indices(indices: tuple) -> None:
+    """Qubit and classical-bit indices are integers: anything that
+    `operator.index` accepts."""
+    try:
+        list(map(operator.index, indices))
+    except TypeError:
+        raise ValueError(f"qubit and classical bit indices must be integers, "
+                         f"got {list(indices)}") from None
+
+
 @dataclass(frozen=True)
 class GateOp:
     """One gate application: kind, qubits, optional angle and classical guard.
@@ -85,9 +98,11 @@ class GateOp:
                 f"gate {self.kind!r} takes {n_controls} control(s), {n_targets} "
                 f"target(s) and {'an' if takes_angle else 'no'} angle, got controls "
                 f"{list(self.controls)}, targets {list(self.targets)}, angle {self.angle}")
+        qubits = self.qubits()
+        cond = self.classical_condition
+        _check_indices(qubits if cond is None else qubits + (cond,))
         if takes_angle and not math.isfinite(self.angle):
             raise ValueError(f"gate {self.kind!r}: angle must be finite, got {self.angle}")
-        qubits = self.qubits()
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"gate {self.kind!r}: qubits must differ, got {list(qubits)}")
 
@@ -101,6 +116,9 @@ class Measurement:
 
     qubit: int
     cbit: int
+
+    def __post_init__(self):
+        _check_indices((self.qubit, self.cbit))
 
 
 class AssertionKind(str, Enum):
@@ -130,6 +148,7 @@ class AssertionDirective:
     expected_verdict: bool | None = None
 
     def __post_init__(self):
+        _check_indices(self.all_qubits())
         if self.kind == AssertionKind.PRODUCT:
             groups = (self.group0, self.group1)
             shared = sorted(set(self.group0) & set(self.group1))
@@ -164,9 +183,9 @@ class Circuit:
     items: list = field(default_factory=list)
 
     def validate(self) -> None:
-        """Check the rules that span the circuit: the qubit count, every
-        qubit and classical bit index in range, and every conditional gate
-        reading a bit that an earlier measurement wrote."""
+        """Check the rules that span the circuit: the qubit and classical
+        bit counts, every qubit and classical bit index in range, and every
+        conditional gate reading a bit that an earlier measurement wrote."""
         if not 0 < self.n_qubits <= QUBIT_CAP:
             raise CircuitError(f"qubit count must be in 1..{QUBIT_CAP}, got {self.n_qubits}")
         written: set[int] = set()
@@ -184,6 +203,9 @@ class Circuit:
                     raise CircuitError(f"qubit index {q} out of range "
                                        f"(circuit has {self.n_qubits})", pos)
             if isinstance(item, Measurement):
+                if item.cbit >= CBIT_CAP:
+                    raise CircuitError(f"classical bit {item.cbit} exceeds the cap "
+                                       f"of {CBIT_CAP} classical bits", pos)
                 if not 0 <= item.cbit < self.n_classical_bits:
                     raise CircuitError(f"classical bit {item.cbit} out of range "
                                        f"(circuit has {self.n_classical_bits})", pos)
@@ -195,3 +217,8 @@ class Circuit:
                 if cond is not None and cond not in written:
                     raise CircuitError(f"conditional gate reads classical bit {cond} "
                                        "before any measurement writes it", pos)
+        # Checked after the items, so that a parsed circuit's error points
+        # at the measurement whose bit set the count.
+        if not 0 <= self.n_classical_bits <= CBIT_CAP:
+            raise CircuitError(f"classical bit count must be in 0..{CBIT_CAP}, "
+                               f"got {self.n_classical_bits}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from ._rng import STREAM_VERSION
 from .assertions import AssertionResult, ProgramConfig, evaluate_checkpoint
 from .ir import AssertionDirective, AssertionKind, Circuit
+from .sampling import HeldState
 
 TEXT = "text"
 JSON = "json"
@@ -57,16 +58,21 @@ class RunReport:
 
 
 def run_program(circuit: Circuit, config: ProgramConfig | None = None) -> RunReport:
-    """Evaluate every assertion checkpoint in the circuit, in circuit order."""
+    """Evaluate every assertion checkpoint in the circuit, in circuit order.
+
+    Up to the first mid-circuit measurement, the run evolves one held state
+    and each checkpoint advances it by its own items and draws from it.
+    """
     config = config if config is not None else ProgramConfig()
     circuit.validate()
     report = RunReport(config=config)
+    held = HeldState()
     for index, item in enumerate(circuit.items):
         if not isinstance(item, AssertionDirective):
             continue
         entry = CheckpointReport(index=index)
         try:
-            entry.result = evaluate_checkpoint(circuit, index, config)
+            entry.result = evaluate_checkpoint(circuit, index, config, held)
         except Exception as exc:  # one faulty checkpoint must not hide the rest
             entry.error = f"{type(exc).__name__}: {exc}"
         report.checkpoints.append(entry)

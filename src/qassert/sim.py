@@ -141,7 +141,8 @@ def measure_qubit(state: StateVector, q: int,
 
 
 def walk(circuit: Circuit, upto: int | None = None,
-         rng: np.random.Generator | None = None, shots: int = 1):
+         rng: np.random.Generator | None = None, shots: int = 1,
+         start: tuple[StateVector, int] | None = None):
     """Depth-first walk of the prefix items[:upto], branching at measurements.
 
     Yields one (state, mass, bits) leaf per live branch, where `bits` maps
@@ -157,9 +158,16 @@ def walk(circuit: Circuit, upto: int | None = None,
     the rest down the 0-branch. A branch with no mass is never walked, so
     split mode has at most min(2^measurements, shots) leaves. The state is
     copied only where both outcomes stay live.
+
+    `start` is a `(state, position)` pair: the walk then evolves that state,
+    in place, through items[position:upto] instead of evolving |0...0>
+    through the whole prefix. It must be the state of items[:position], and
+    no measurement may lie before `position`, since no classical bit is
+    known there.
     """
     items = circuit.items if upto is None else circuit.items[:upto]
-    stack = [(new_state(circuit.n_qubits), {}, 0, 1.0 if rng is None else shots)]
+    state, pos = start if start is not None else (new_state(circuit.n_qubits), 0)
+    stack = [(state, {}, pos, 1.0 if rng is None else shots)]
     while stack:
         state, bits, pos, mass = stack.pop()
         for pos in range(pos, len(items)):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qassert import runner
+from qassert import runner, sim
 from qassert.cli import main
 from qassert.parser import parse_circuit
 from qassert.runner import ProgramConfig, render_report, run_program
@@ -219,11 +219,11 @@ def second_checkpoint_raises(monkeypatch):
     evaluate = runner.evaluate_checkpoint
     calls = []
 
-    def flaky(circuit, index, config):
+    def flaky(circuit, index, config, *held):
         calls.append(index)
         if len(calls) == 2:
             raise RuntimeError("injected fault")
-        return evaluate(circuit, index, config)
+        return evaluate(circuit, index, config, *held)
 
     monkeypatch.setattr(runner, "evaluate_checkpoint", flaky)
 
@@ -252,6 +252,32 @@ class TestFaultContainment:
         assert code == 1
         assert [c["index"] for c in json.loads(out)["checkpoints"]] == [1, 3, 4]
         assert "Traceback" not in out + err
+
+    def test_a_fault_partway_through_advancing_the_held_state_drops_it(
+            self, monkeypatch):
+        # Checkpoint 2 advances the held state by `x 1` and then `h 2`. The
+        # fault hits `h 2`, after `x 1` has changed the state; reusing that
+        # state from the old position would apply `x 1` twice.
+        circuit = parse_circuit("qubits 3\nh 0\nassert_uniform 0\nx 1\nh 2\n"
+                                "assert_uniform 2\ncx 0 2\nassert_classical 1 expect=1\n")
+        config = ProgramConfig(shots=200)
+        clean = json.loads(render_report(run_program(circuit, config), "json"))
+        apply_gate = sim.apply_gate
+        calls = []
+
+        def faulty(state, gate):
+            calls.append(gate)
+            if len(calls) == 3:
+                raise RuntimeError("injected fault")
+            return apply_gate(state, gate)
+
+        monkeypatch.setattr(sim, "apply_gate", faulty)
+        faulted = json.loads(render_report(run_program(circuit, config), "json"))
+        assert calls[2] == circuit.items[3]
+        assert faulted["checkpoints"][0] == clean["checkpoints"][0]
+        assert faulted["checkpoints"][1] == {"index": 4, "error": "RuntimeError: injected fault"}
+        assert faulted["checkpoints"][2] == clean["checkpoints"][2]
+        assert clean["checkpoints"][2]["passed"]
 
 
 # Circuit-file grammar fuzzing: valid statements with some tokens swapped

@@ -9,8 +9,16 @@ from hypothesis import strategies as st
 
 from qassert import errors
 from qassert.assertions import ProgramConfig
-from qassert.errors import CircuitError
-from qassert.ir import AssertionDirective, AssertionKind, Circuit, GateOp, Measurement
+from qassert.errors import CircuitError, ParseError
+from qassert.ir import (
+    CBIT_CAP,
+    AssertionDirective,
+    AssertionKind,
+    Circuit,
+    GateOp,
+    Measurement,
+)
+from qassert.parser import parse_circuit
 from qassert.runner import run_program
 
 # (controls, targets, takes an angle) per kind, written out independently of
@@ -44,6 +52,44 @@ def test_wrong_operand_count_is_rejected_at_construction(fields):
         GateOp(**fields)
 
 
+# Library-built items with an index that is not an integer. A gate on qubit
+# 0.5 validated and then failed its checkpoint with a TypeError; a
+# measurement into bit 1.0 was accepted and wrote bit 1.
+NON_INTEGER_INDICES = [
+    (GateOp, dict(kind="h", targets=(0.5,))),
+    (GateOp, dict(kind="cx", targets=(1,), controls=(0.0,))),
+    (GateOp, dict(kind="x", targets=(0,), classical_condition=1.0)),
+    (Measurement, dict(qubit=0, cbit=1.0)),
+    (Measurement, dict(qubit=0.0, cbit=0)),
+    (AssertionDirective, dict(kind=AssertionKind.CLASSICAL, qubits=(0, 0.5))),
+    (AssertionDirective, dict(kind=AssertionKind.PRODUCT, group0=("0",), group1=(1,))),
+    (AssertionDirective, dict(kind=AssertionKind.PRODUCT, group0=(0,), group1=(1.5,))),
+]
+
+
+@pytest.mark.parametrize("cls, fields", NON_INTEGER_INDICES)
+def test_non_integer_index_is_rejected_at_construction(cls, fields):
+    with pytest.raises(ValueError, match="indices must be integers"):
+        cls(**fields)
+
+
+def test_classical_bits_are_capped():
+    with pytest.raises(CircuitError, match="cap") as caught:
+        Circuit(1, CBIT_CAP + 1, [GateOp("h", (0,)), Measurement(0, CBIT_CAP)]).validate()
+    assert caught.value.item == 1
+    with pytest.raises(CircuitError, match="classical bit count"):
+        Circuit(1, CBIT_CAP + 1).validate()
+    Circuit(1, CBIT_CAP, [Measurement(0, CBIT_CAP - 1)]).validate()
+
+
+def test_a_circuit_file_over_the_classical_bit_cap_names_its_measure_line():
+    with pytest.raises(ParseError, match="cap") as caught:
+        parse_circuit("qubits 1\nh 0\nmeasure 0 -> 3000000\n")
+    assert caught.value.line == 3
+    circuit = parse_circuit(f"qubits 1\nmeasure 0 -> {CBIT_CAP - 1}\n")
+    assert circuit.n_classical_bits == CBIT_CAP
+
+
 @pytest.mark.parametrize("kind", [AssertionKind.CLASSICAL, AssertionKind.UNIFORM])
 def test_resamples_only_applies_to_product_assertions(kind):
     with pytest.raises(ValueError, match="resamples"):
@@ -53,12 +99,14 @@ def test_resamples_only_applies_to_product_assertions(kind):
 
 def gate_is_valid(kind, targets, controls=(), angle=None, classical_condition=None):
     """The per-item gate rules: operand counts and angle by kind, a finite
-    angle, and distinct qubits."""
+    angle, integer indices, and distinct qubits."""
     n_controls, n_targets, takes_angle = SHAPES[kind]
     qubits = targets + controls
+    indices = qubits + (() if classical_condition is None else (classical_condition,))
     return (len(controls) == n_controls and len(targets) == n_targets
             and (angle is not None) == takes_angle
             and (angle is None or math.isfinite(angle))
+            and all(isinstance(i, int) for i in indices)
             and len(set(qubits)) == len(qubits))
 
 
@@ -141,6 +189,14 @@ def _classical_01(n_qubits, gate_fields):
         expected_verdict=True))]
 
 
+def _non_integer(n_qubits, n_bits, cls, fields):
+    """A measurement into every bit, an item with a non-integer index, and a
+    check that qubits 0 and 1 read 01."""
+    return n_qubits, n_bits, [(Measurement, dict(qubit=0, cbit=b)) for b in range(n_bits)] + [
+        (cls, fields), (AssertionDirective, dict(kind=AssertionKind.CLASSICAL, qubits=(0, 1),
+                                                 expected_bitstring="01"))]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=circuits())
 @example(case=_classical_01(2, WRONG_OPERANDS[0]))
@@ -150,6 +206,14 @@ def _classical_01(n_qubits, gate_fields):
 @example(case=_classical_01(2, WRONG_OPERANDS[4]))
 @example(case=_classical_01(3, WRONG_OPERANDS[5]))
 @example(case=_classical_01(2, WRONG_OPERANDS[6]))
+@example(case=_non_integer(2, 0, *NON_INTEGER_INDICES[0]))
+@example(case=_non_integer(2, 0, *NON_INTEGER_INDICES[1]))
+@example(case=_non_integer(2, 2, *NON_INTEGER_INDICES[2]))
+@example(case=_non_integer(2, 2, *NON_INTEGER_INDICES[3]))
+@example(case=_non_integer(2, 1, *NON_INTEGER_INDICES[4]))
+@example(case=_non_integer(2, 0, *NON_INTEGER_INDICES[5]))
+@example(case=_non_integer(2, 0, *NON_INTEGER_INDICES[6]))
+@example(case=_non_integer(2, 0, *NON_INTEGER_INDICES[7]))
 def test_items_are_checked_and_no_exception_escapes_a_run(case):
     # A gate is rejected exactly when it breaks a per-item rule. Items the
     # circuit-wide rules reject are left out, and what remains is run.

@@ -1,6 +1,7 @@
 """Sampling, exact distributions, and marginalization."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,19 +17,24 @@ from oracles import (
     marginal_counts_ref,
     tv_distance,
 )
-from qassert.assertions import AssertionDirective, build_contingency_table
+from qassert import runner, sim
+from qassert.assertions import AssertionDirective, ProgramConfig, build_contingency_table
 from qassert.errors import CapacityError
-from qassert.examples import build_qft
+from qassert.examples import build_bv, build_qft
 from qassert.parser import parse_circuit
+from qassert.runner import render_report, run_program
 from qassert.sampling import (
     MAX_EXACT_BRANCHES,
     MAX_SHOTS,
+    HeldState,
     MeasurementDistribution,
     exact_distribution,
     marginalize,
     sample,
 )
 from qassert.sim import Circuit, GateOp, Measurement
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Exact probabilities at or below this are treated as impossible outcomes.
 EPS = 1e-15
@@ -355,3 +361,78 @@ class TestShotSplitting:
             a = sample(circuit, shots=3000, seed=seed)
             b = sample(circuit, shots=3000, seed=seed)
             assert np.array_equal(a.counts, b.counts)
+
+
+def read_circuit(path: str) -> Circuit:
+    return parse_circuit((ROOT / path).read_text())
+
+
+# Runs whose checkpoints draw from a held state (bv, qft, wide20), that
+# drop it at a mid-circuit measurement (teleport_corrected), or that list
+# their qubits out of order (reordered).
+HELD_RUNS = {
+    "wide20": lambda: read_circuit("bench/circuits/wide20.qc"),
+    "bv": build_bv,
+    "bv-drop-setup-hadamard": lambda: build_bv(drop_setup_hadamard=True),
+    "qft": build_qft,
+    "teleport-corrected": lambda: read_circuit("bench/circuits/teleport_corrected.qc"),
+    "reordered": lambda: read_circuit("tests/golden/reordered.qc"),
+}
+
+
+class TestHeldState:
+    def test_probabilities_is_a_new_array(self):
+        state = sim.new_state(2)
+        sim.apply_gate(state, GateOp("h", (0,)))
+        before = state.amplitudes.copy()
+        probs = state.probabilities()
+        probs[:] = 7.0
+        assert not np.shares_memory(probs, state.amplitudes)
+        assert np.array_equal(state.amplitudes, before)
+
+    def test_drawing_twice_from_the_held_state_matches_a_fresh_sample(self):
+        circuit = build_qft()
+        upto = next(i for i, item in enumerate(circuit.items)
+                    if isinstance(item, AssertionDirective))
+        held = HeldState()
+        first = sample(circuit, upto, 2000, 5, held)
+        amplitudes = held.state.amplitudes.copy()
+        second = sample(circuit, upto, 2000, 5, held)
+        fresh = sample(circuit, upto, 2000, 5)
+        assert held.pos == upto
+        assert np.array_equal(held.state.amplitudes, amplitudes)
+        assert np.array_equal(first.counts, fresh.counts)
+        assert np.array_equal(second.counts, fresh.counts)
+
+    def test_a_measurement_in_between_drops_the_held_state(self):
+        circuit = parse_circuit(TELEPORT)
+        held = HeldState()
+        sample(circuit, 2, 100, 1, held)
+        assert held.state is not None and held.pos == 2
+        assert np.array_equal(sample(circuit, None, 3000, 1, held).counts,
+                              sample(circuit, None, 3000, 1).counts)
+        assert held.state is None and held.pos is None
+
+    @pytest.mark.parametrize("name", HELD_RUNS)
+    @pytest.mark.parametrize("seed", [1, 11, 12345])
+    def test_run_report_equals_one_walk_per_checkpoint(self, name, seed, monkeypatch):
+        circuit, config = HELD_RUNS[name](), ProgramConfig(seed=seed)
+        held_json = render_report(run_program(circuit, config), "json")
+        evaluate = runner.evaluate_checkpoint
+        monkeypatch.setattr(runner, "evaluate_checkpoint",
+                            lambda circuit, index, config, *held: evaluate(circuit, index, config))
+        assert held_json == render_report(run_program(circuit, config), "json")
+
+    def test_a_wide20_run_applies_each_gate_once(self, monkeypatch):
+        circuit = read_circuit("bench/circuits/wide20.qc")
+        calls = []
+        apply_gate = sim.apply_gate
+
+        def counting(state, gate):  # `walk` looks `apply_gate` up at each gate
+            calls.append(gate)
+            return apply_gate(state, gate)
+
+        monkeypatch.setattr(sim, "apply_gate", counting)
+        report = run_program(circuit, ProgramConfig(seed=1))
+        assert report.n_errors == 0 and len(report.checkpoints) == 3
+        assert len(calls) == len(set(map(id, calls))) == 19
