@@ -15,13 +15,7 @@ import numpy as np
 
 from ._rng import derive_seed
 from .errors import InfeasibleShotsError
-from .ir import (
-    AssertionDirective,
-    AssertionKind,
-    Circuit,
-    check_expected_bitstring,
-    check_run_parameters,
-)
+from .ir import AssertionDirective, AssertionKind, Circuit, check_run_parameters
 from .sampling import HeldState, MeasurementDistribution, marginalize, sample
 from .sim import bitstring
 from .stats import (
@@ -114,91 +108,109 @@ def _classical_pvalue(marg: MeasurementDistribution, target: int) -> PValue:
     return PValue(p, TestMethod.CHI_SQUARE, degrees_of_freedom=df)
 
 
+def _check(directive: AssertionDirective, circuit: Circuit, at: int | None,
+           alpha: float, shots: int | None, resamples: int | None, seed: int,
+           legacy_chisq: bool = False, held: HeldState | None = None) -> AssertionResult:
+    """Evaluate `directive` on the prefix items[:at]: draw once, reduce the
+    counts to the asserted qubits, test them.
+
+    The other arguments are the resolved run parameters; shots and
+    resamples of None take the per-kind shot default and DEFAULT_RESAMPLES.
+    A uniform test is refused with fewer shots than outcomes, before
+    anything is drawn, and warns below 5 shots per outcome.
+    """
+    kind, qubits = directive.kind, directive.qubits
+    shots = shots if shots is not None else default_shots(kind)
+    k = 1 << len(qubits)
+    if kind == AssertionKind.UNIFORM and shots < 5 * k:
+        if shots < k:
+            raise InfeasibleShotsError(
+                f"uniform assertion over {len(qubits)} qubits has {k} outcomes; "
+                f"{shots} shots give an expected count below 1 per outcome "
+                f"(need at least {k} shots, at least {5 * k} recommended)")
+        warnings.warn(
+            f"uniform assertion: expected count {shots / k:.2f} per outcome is "
+            f"below 5; consider at least {5 * k} shots", stacklevel=3)
+    dist = sample(circuit, at, shots, seed, held)
+    target = table_shape = None
+    if kind == AssertionKind.PRODUCT:
+        table = build_contingency_table(dist, directive.group0, directive.group1)
+        table_shape = table.cells.shape
+        if legacy_chisq:
+            p_value = legacy_chisq_add1(table)
+        elif table_shape == (2, 2):
+            p_value = fisher_exact_2x2(table)
+        else:
+            resamples = resamples if resamples is not None else DEFAULT_RESAMPLES
+            p_value = monte_carlo_independence(table, resamples, seed=seed)
+    else:
+        marg = marginalize(dist, list(qubits))
+        if kind == AssertionKind.UNIFORM:
+            p_value = chi_square_gof_pvalue(marg.counts, [1.0 / k] * k, shots)
+        else:
+            # Index order is bitstring order, so the first argmax is the
+            # lexicographically smallest of tied modes.
+            bits = directive.expected_bitstring
+            index = int(bits, 2) if bits is not None else int(np.argmax(marg.counts))
+            p_value = _classical_pvalue(marg, index)
+            target = bitstring(index, len(qubits))
+    return AssertionResult(
+        kind=kind, qubits=qubits, group0=directive.group0 or None,
+        group1=directive.group1 or None, alpha=alpha, p_value=p_value,
+        passed=p_value.value > alpha, shots_used=shots, target_bitstring=target,
+        table_shape=table_shape)
+
+
 def assert_classical(circuit: Circuit, at: int | None, qubits,
                      expected_bitstring: str | None = None,
                      alpha: float = DEFAULT_ALPHA, shots: int | None = None,
-                     seed: int = 0, held: HeldState | None = None) -> AssertionResult:
+                     seed: int = 0) -> AssertionResult:
     """Test that the asserted qubits deterministically measure one bitstring.
 
     The null is a single sharp peak: all mass on the target bitstring, an
     expected count of CLASSICAL_FLOOR on every other observed outcome. The
     target is `expected_bitstring` when supplied (testing "equals this
     string"), otherwise the empirical mode (testing "is classical").
+    Arguments are checked as an `AssertionDirective` checks them.
     """
-    qubits = tuple(qubits)
-    if expected_bitstring is not None:
-        check_expected_bitstring(expected_bitstring, len(qubits))
-    shots = shots if shots is not None else default_shots(AssertionKind.CLASSICAL)
-    marg = marginalize(sample(circuit, at, shots, seed, held), list(qubits))
-    # Index order is bitstring order, so the first argmax is the
-    # lexicographically smallest of tied modes.
-    target = (int(expected_bitstring, 2) if expected_bitstring is not None
-              else int(np.argmax(marg.counts)))
-    p_value = _classical_pvalue(marg, target)
-    return AssertionResult(
-        kind=AssertionKind.CLASSICAL, qubits=qubits, group0=None, group1=None,
-        alpha=alpha, p_value=p_value, passed=p_value.value > alpha,
-        shots_used=shots, target_bitstring=bitstring(target, len(qubits)))
+    directive = AssertionDirective(AssertionKind.CLASSICAL, qubits=tuple(qubits),
+                                   alpha=alpha, shots=shots,
+                                   expected_bitstring=expected_bitstring)
+    return _check(directive, circuit, at, alpha, shots, None, seed)
 
 
 def assert_uniform(circuit: Circuit, at: int | None, qubits,
                    alpha: float = DEFAULT_ALPHA, shots: int | None = None,
-                   seed: int = 0, held: HeldState | None = None) -> AssertionResult:
+                   seed: int = 0) -> AssertionResult:
     """Test that the asserted qubits are in an equal superposition.
 
     Chi-square goodness of fit against probability 1/2^n for each of the
-    2^n outcomes, unobserved outcomes counting zero.
+    2^n outcomes, unobserved outcomes counting zero. Fewer shots than
+    outcomes raise InfeasibleShotsError; fewer than 5 per outcome warn.
+    Arguments are checked as an `AssertionDirective` checks them.
     """
-    qubits = tuple(qubits)
-    shots = shots if shots is not None else default_shots(AssertionKind.UNIFORM)
-    k = 1 << len(qubits)
-    per_cell = shots / k
-    if per_cell < 1.0:
-        raise InfeasibleShotsError(
-            f"uniform assertion over {len(qubits)} qubits has {k} outcomes; "
-            f"{shots} shots give an expected count below 1 per outcome "
-            f"(need at least {k} shots, at least {5 * k} recommended)")
-    if per_cell < 5.0:
-        warnings.warn(
-            f"uniform assertion: expected count {per_cell:.2f} per outcome is "
-            f"below 5; consider at least {5 * k} shots", stacklevel=2)
-    marg = marginalize(sample(circuit, at, shots, seed, held), list(qubits))
-    p_value = chi_square_gof_pvalue(marg.counts, [1.0 / k] * k, shots)
-    return AssertionResult(
-        kind=AssertionKind.UNIFORM, qubits=qubits, group0=None, group1=None,
-        alpha=alpha, p_value=p_value, passed=p_value.value > alpha,
-        shots_used=shots)
+    directive = AssertionDirective(AssertionKind.UNIFORM, qubits=tuple(qubits),
+                                   alpha=alpha, shots=shots)
+    return _check(directive, circuit, at, alpha, shots, None, seed)
 
 
 def assert_product(circuit: Circuit, at: int | None, group0, group1,
                    alpha: float = DEFAULT_ALPHA, shots: int | None = None,
                    resamples: int | None = None, seed: int = 0,
-                   legacy_chisq: bool = False,
-                   held: HeldState | None = None) -> AssertionResult:
+                   legacy_chisq: bool = False) -> AssertionResult:
     """Test that two qubit groups are unentangled (statistically independent).
 
     Builds the full contingency table of the two groups and dispatches:
     Fisher's exact test for 2x2 tables, the Monte Carlo permutation test
     otherwise. passed=True means consistent with a product state;
     passed=False means likely entangled. `legacy_chisq` reroutes through the
-    add-1 chi-square baseline regardless of table size.
+    add-1 chi-square baseline regardless of table size. Arguments are
+    checked as an `AssertionDirective` checks them.
     """
-    group0 = tuple(group0)
-    group1 = tuple(group1)
-    shots = shots if shots is not None else default_shots(AssertionKind.PRODUCT)
-    resamples = resamples if resamples is not None else DEFAULT_RESAMPLES
-    dist = sample(circuit, at, shots, seed, held)
-    table = build_contingency_table(dist, group0, group1)
-    if legacy_chisq:
-        p_value = legacy_chisq_add1(table)
-    elif table.cells.shape == (2, 2):
-        p_value = fisher_exact_2x2(table)
-    else:
-        p_value = monte_carlo_independence(table, resamples, seed=seed)
-    return AssertionResult(
-        kind=AssertionKind.PRODUCT, qubits=(), group0=group0, group1=group1,
-        alpha=alpha, p_value=p_value, passed=p_value.value > alpha,
-        shots_used=shots, table_shape=table.cells.shape)
+    directive = AssertionDirective(AssertionKind.PRODUCT, group0=tuple(group0),
+                                   group1=tuple(group1), alpha=alpha, shots=shots,
+                                   resamples=resamples)
+    return _check(directive, circuit, at, alpha, shots, resamples, seed, legacy_chisq)
 
 
 def evaluate_checkpoint(circuit: Circuit, index: int, config: ProgramConfig,
@@ -216,20 +228,9 @@ def evaluate_checkpoint(circuit: Circuit, index: int, config: ProgramConfig,
         raise ValueError(f"item {index} is not an assertion directive: {item!r}")
     alpha = item.alpha if item.alpha is not None else config.alpha
     shots = config.shots if config.shots is not None else item.shots
-    seed = derive_seed(config.seed, index)
-    if item.kind == AssertionKind.CLASSICAL:
-        result = assert_classical(circuit, index, item.qubits,
-                                  expected_bitstring=item.expected_bitstring,
-                                  alpha=alpha, shots=shots, seed=seed, held=held)
-    elif item.kind == AssertionKind.UNIFORM:
-        result = assert_uniform(circuit, index, item.qubits, alpha=alpha,
-                                shots=shots, seed=seed, held=held)
-    else:
-        resamples = item.resamples if item.resamples is not None else config.resamples
-        result = assert_product(circuit, index, item.group0, item.group1,
-                                alpha=alpha, shots=shots, resamples=resamples,
-                                seed=seed, legacy_chisq=config.legacy_chisq,
-                                held=held)
+    resamples = item.resamples if item.resamples is not None else config.resamples
+    result = _check(item, circuit, index, alpha, shots, resamples,
+                    derive_seed(config.seed, index), config.legacy_chisq, held)
     result.expected_verdict = item.expected_verdict
     if item.expected_verdict is not None:
         result.matches_expected = result.passed == item.expected_verdict

@@ -55,13 +55,6 @@ def check_run_parameters(alpha: float | None, shots: int | None,
         raise ValueError(f"resamples must be >= 1, got {resamples}")
 
 
-def check_expected_bitstring(bits: str, n_qubits: int) -> None:
-    """An expected outcome is one 0/1 character per asserted qubit."""
-    if len(bits) != n_qubits or any(ch not in "01" for ch in bits):
-        raise ValueError(f"expected_bitstring {bits!r} must be "
-                         f"{n_qubits} characters of 0/1")
-
-
 def _check_indices(indices: tuple) -> None:
     """Qubit and classical-bit indices are integers: anything that
     `operator.index` accepts."""
@@ -165,10 +158,13 @@ class AssertionDirective:
         check_run_parameters(self.alpha, self.shots, self.resamples)
         if self.resamples is not None and self.kind != AssertionKind.PRODUCT:
             raise ValueError("resamples only applies to product assertions")
-        if self.expected_bitstring is not None:
+        bits = self.expected_bitstring
+        if bits is not None:
             if self.kind != AssertionKind.CLASSICAL:
                 raise ValueError("expected_bitstring only applies to classical assertions")
-            check_expected_bitstring(self.expected_bitstring, len(self.qubits))
+            if len(bits) != len(self.qubits) or any(ch not in "01" for ch in bits):
+                raise ValueError(f"expected_bitstring {bits!r} must be "
+                                 f"{len(self.qubits)} characters of 0/1")
 
     def all_qubits(self) -> tuple[int, ...]:
         return self.qubits + self.group0 + self.group1

@@ -27,7 +27,8 @@ import re
 from .errors import CircuitError, ParseError
 from .ir import GATES, AssertionDirective, AssertionKind, Circuit, GateOp, Measurement
 
-_TOKEN = re.compile(r"\S+")
+# A bracket is a token of its own, so `[0 1]`, `[ 0 1 ]` and `[0][1]` split alike.
+_TOKEN = re.compile(r"[\[\]]|[^\s\[\]]+")
 
 _ASSERT_KINDS = {
     "assert_classical": AssertionKind.CLASSICAL,
@@ -160,39 +161,17 @@ class _Parser:
         return options
 
     def parse_group(self, stmt: _Statement, pos: int) -> tuple[tuple[int, ...], int]:
-        """Parse a bracketed qubit group like `[0 1 2]` starting at token pos."""
-        if pos >= len(stmt.tokens) or not stmt.tokens[pos][0].startswith("["):
+        """Parse a bracketed qubit group like `[0 1 2]` starting at token pos;
+        return its qubits and the position after its `]`."""
+        words = [token for token, _ in stmt.tokens]
+        if words[pos:pos + 1] != ["["]:
             raise stmt.error("expected a bracketed qubit group like [0 1]", pos)
-        parts: list[str] = []
-        end = pos
-        closed = False
-        while end < len(stmt.tokens):
-            token = stmt.tokens[end][0]
-            if end == pos:
-                token = token[1:]
-            if token.endswith("]"):
-                token = token[:-1]
-                closed = True
-            if token:
-                parts.append(token)
-            end += 1
-            if closed:
-                break
-        if not closed:
+        if "]" not in words[pos:]:
             raise stmt.error("unterminated qubit group (missing ']')", pos)
-        if not parts:
+        end = words.index("]", pos)
+        if end == pos + 1:
             raise stmt.error("qubit group must not be empty", pos)
-        qubits = []
-        for part in parts:
-            try:
-                q = int(part)
-            except ValueError:
-                raise stmt.error(f"expected a qubit index, got {part!r}", pos) from None
-            if not 0 <= q < self.n_qubits:
-                raise stmt.error(
-                    f"qubit index {q} out of range (circuit has {self.n_qubits})", pos)
-            qubits.append(q)
-        return tuple(qubits), end
+        return tuple(self.parse_qubit(stmt, p) for p in range(pos + 1, end)), end + 1
 
     def parse_assertion(self, stmt: _Statement) -> AssertionDirective:
         kind = _ASSERT_KINDS[stmt.tokens[0][0]]

@@ -1,5 +1,7 @@
 """Assertion checkpoint tests: classical, uniform, product, dispatch."""
 
+import inspect
+
 import numpy as np
 import pytest
 from oracles import count_vector
@@ -18,8 +20,8 @@ from qassert.assertions import (
 )
 from qassert.errors import InfeasibleShotsError
 from qassert.examples import build_bv, build_qft, build_teleport, build_xgate
-from qassert.runner import ProgramConfig
-from qassert.sampling import MeasurementDistribution
+from qassert.runner import ProgramConfig, run_program
+from qassert.sampling import HeldState, MeasurementDistribution
 from qassert.sim import Circuit, GateOp
 from qassert.stats import TestMethod
 
@@ -287,3 +289,42 @@ class TestVerdictSemantics:
         assert result.shots_used == 100
         assert result.group0 == (0,)
         assert result.group1 == (1,)
+
+
+class TestOnePipeline:
+    # Each call breaks a rule that AssertionDirective enforces. If accepted,
+    # alpha outside (0, 1) would always fail or always pass, and an empty
+    # qubit list would pass with p = 1.
+    @pytest.mark.parametrize("call, message", [
+        (lambda: assert_uniform(bell(), None, [0], alpha=5.0), "alpha"),
+        (lambda: assert_classical(build_xgate(), None, [0, 1], alpha=0.0), "alpha"),
+        (lambda: assert_classical(build_xgate(), None, [0, 1], alpha=-1.0), "alpha"),
+        (lambda: assert_classical(bell(), None, []), "at least one qubit"),
+        (lambda: assert_product(bell(), None, [0], [1], resamples=0), "resamples"),
+        (lambda: assert_uniform(bell(), None, [0], shots=0), "shots must be >= 1"),
+    ], ids=["uniform-alpha-5", "classical-alpha-0", "classical-alpha-negative",
+            "classical-no-qubits", "product-resamples-0", "uniform-shots-0"])
+    def test_library_calls_check_the_directive_rules(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_one_draw_per_checkpoint_from_the_runs_held_state(self, monkeypatch):
+        calls = []
+        real_sample = assertions.sample
+
+        def counting(*args):
+            calls.append(args)
+            return real_sample(*args)
+
+        monkeypatch.setattr(assertions, "sample", counting)
+        circuit = build_bv("01011")
+        report = run_program(circuit, ProgramConfig(shots=2000, resamples=99))
+        assert [args[1] for args in calls] == checkpoint_indices(circuit)
+        assert report.n_errors == 0
+        held = calls[0][4]
+        assert isinstance(held, HeldState)
+        assert all(args[4] is held for args in calls)
+
+    @pytest.mark.parametrize("fn", [assert_classical, assert_uniform, assert_product])
+    def test_held_state_is_not_a_library_parameter(self, fn):
+        assert "held" not in inspect.signature(fn).parameters

@@ -19,11 +19,13 @@ import contextlib
 import io
 from pathlib import Path
 
+import numpy
 import pytest
 
 from qassert.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_NUMPY = "2.4.6"
 FIXED = ["--seed", "11", "--shots", "2000", "--resamples", "999", "--format", "json"]
 CASES = {
     "bell": ["example", "bell"],
@@ -49,7 +51,9 @@ def report(argv: list[str]) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-    assert report(CASES[name]) == expected
+    assert report(CASES[name]) == expected, (
+        f"the goldens were made with numpy {GOLDEN_NUMPY}; this is numpy "
+        f"{numpy.__version__}, and stream_version holds only within one numpy version")
 
 
 if __name__ == "__main__":

@@ -70,7 +70,8 @@ class TestParse:
     def test_product_group_spacing_variants(self):
         a = parse_circuit("qubits 3\nassert_product [0 1] [2]\n").items[0]
         b = parse_circuit("qubits 3\nassert_product [ 0 1 ] [ 2 ]\n").items[0]
-        assert a == b
+        c = parse_circuit("qubits 3\nassert_product [0 1 ][ 2]\n").items[0]
+        assert a == b == c
 
     def test_shipped_bv_matches_builder(self):
         assert parse_circuit(shipped("bv")) == build_bv("01011")
@@ -122,6 +123,15 @@ class TestParseErrors:
             parse_circuit("qubits 2\nh 5\n")
         assert exc_info.value.line == 2
         assert exc_info.value.column == 3
+
+    @pytest.mark.parametrize("text, column", [
+        ("qubits 3\nassert_product [0 5] [1]\n", 19),
+        ("qubits 3\nassert_product [0] [1  x 2]\n", 24),
+    ], ids=["out-of-range", "not-an-integer"])
+    def test_bad_qubit_in_group_points_at_the_qubit(self, text, column):
+        with pytest.raises(ParseError, match="qubit index") as exc_info:
+            parse_circuit(text)
+        assert (exc_info.value.line, exc_info.value.column) == (2, column)
 
     def test_bad_angle(self):
         with pytest.raises(ParseError, match="angle"):
