@@ -45,14 +45,19 @@ PARAMETERIZED = frozenset(kind for kind, (_, _, angle, _) in GATES.items() if an
 
 def check_run_parameters(alpha: float | None, shots: int | None,
                          resamples: int | None) -> None:
-    """Range-check a critical p-value and shot and resample counts; None
-    stands for "use the default" and always passes."""
+    """Range-check a critical p-value and shot and resample counts, which
+    must be integers; None stands for "use the default" and always passes."""
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if shots is not None and shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if resamples is not None and resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    for name, count in (("shots", shots), ("resamples", resamples)):
+        if count is None:
+            continue
+        try:
+            operator.index(count)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {count!r}") from None
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
 
 
 def _check_indices(indices: tuple) -> None:
@@ -162,6 +167,8 @@ class AssertionDirective:
         if bits is not None:
             if self.kind != AssertionKind.CLASSICAL:
                 raise ValueError("expected_bitstring only applies to classical assertions")
+            if not isinstance(bits, str):
+                raise ValueError(f"expected_bitstring must be a string, got {bits!r}")
             if len(bits) != len(self.qubits) or any(ch not in "01" for ch in bits):
                 raise ValueError(f"expected_bitstring {bits!r} must be "
                                  f"{len(self.qubits)} characters of 0/1")

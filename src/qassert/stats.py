@@ -242,10 +242,15 @@ def _draw_tables(rows: np.ndarray, cols: np.ndarray, count: int,
 
     Patefield's exact sampler (Appl. Stat. 30:91, AS 159): each cell is
     hypergeometric given the margins that the cells drawn before it leave.
+    An empty row is skipped: numpy draws nothing for a sample of 0, so every
+    later draw is the same as if it had been drawn. Empty columns are drawn,
+    because a hypergeometric with no good items can still consume randomness.
     """
     tables = np.zeros((count, rows.size, cols.size), dtype=np.int64)
     tables[:, -1] = cols  # the last row holds what the columns have left
     for i, need in enumerate(rows[:-1]):
+        if need == 0:
+            continue
         for j in range(cols.size - 1):
             rest = tables[:, -1, j + 1:].sum(1)
             tables[:, i, j] = rng.hypergeometric(tables[:, -1, j], rest, need)
@@ -278,6 +283,8 @@ def monte_carlo_independence(table: ContingencyTable,
     The extremeness statistic is the table's log-probability under fixed
     margins; p = (1 + #{resampled tables at least as extreme}) / (1 + R),
     which can never reach 0. All R tables come from substream (seed, 0).
+    Margins with at most one nonzero row or column admit only the observed
+    table, so every resample ties it and p = 1 without drawing.
     """
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
@@ -288,6 +295,9 @@ def monte_carlo_independence(table: ContingencyTable,
                             f"cap of {MAX_TABLE_CELLS} cells")
     if table.total < 1:
         raise ValueError("table must contain at least one observation")
+    rows, cols = table.row_sums, table.col_sums
+    if min(np.count_nonzero(rows), np.count_nonzero(cols)) == 1:
+        return PValue(1.0, TestMethod.MONTE_CARLO, resamples=resamples)
     lf = _log_factorials(table.total)
     # Margins are fixed, so only the cell term varies, reduced alike for the
     # observed table: logP' <= logP_obs + tol <=> cell term' >= obs term - tol
@@ -295,8 +305,7 @@ def monte_carlo_independence(table: ContingencyTable,
     rng = substream(seed, 0, LANE_RESAMPLES)
     at_least_as_extreme = 0
     for start in range(0, resamples, _MC_BLOCK):
-        tables = _draw_tables(table.row_sums, table.col_sums,
-                              min(_MC_BLOCK, resamples - start), rng)
+        tables = _draw_tables(rows, cols, min(_MC_BLOCK, resamples - start), rng)
         at_least_as_extreme += int((lf[tables].sum(axis=(1, 2)) >= threshold).sum())
     p = (1 + at_least_as_extreme) / (1 + resamples)
     return PValue(p, TestMethod.MONTE_CARLO, resamples=resamples)

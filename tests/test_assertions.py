@@ -308,6 +308,24 @@ class TestOnePipeline:
         with pytest.raises(ValueError, match=message):
             call()
 
+    # Unchecked, shots=2.5 drew 2 shots and then failed on "counts sum to 2",
+    # and an int bitstring raised TypeError from len().
+    @pytest.mark.parametrize("call, message", [
+        (lambda: assert_classical(build_xgate(), None, [0, 1], shots=2.5),
+         "shots must be an integer, got 2.5"),
+        (lambda: assert_product(bell(), None, [0], [1], resamples=9.5),
+         "resamples must be an integer, got 9.5"),
+        (lambda: assert_classical(build_xgate(), None, [0, 1], expected_bitstring=11),
+         "expected_bitstring must be a string, got 11"),
+        (lambda: run_program(build_xgate(), ProgramConfig(shots=2.5)),
+         "shots must be an integer, got 2.5"),
+    ], ids=["classical-shots-float", "product-resamples-float", "classical-bitstring-int",
+            "config-shots-float"])
+    def test_parameter_types_are_checked_before_any_draw(self, call, message, monkeypatch):
+        monkeypatch.setattr(assertions, "sample", lambda *args: pytest.fail("sampled"))
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_one_draw_per_checkpoint_from_the_runs_held_state(self, monkeypatch):
         calls = []
         real_sample = assertions.sample

@@ -3,10 +3,12 @@
 Each JSON file under tests/golden/ is the `--format json` report of one CLI
 invocation at a fixed seed, 2000 shots and 999 resamples: the built-in
 examples, two injected bugs, the legacy add-1 chi-square route, a circuit
-file whose checkpoints follow mid-circuit measurements, and one whose
-checkpoints list their qubits out of ascending order. A mismatch means a random stream or a report
-field changed. A deliberate stream change bumps `_rng.STREAM_VERSION` and
-regenerates the files in the same change:
+file whose checkpoints follow mid-circuit measurements, one whose
+checkpoints list their qubits out of ascending order, and one whose
+product tables have empty rows or columns, or a single nonzero row or
+column. A mismatch means a random stream or a report field changed. A
+deliberate stream change bumps `_rng.STREAM_VERSION` and regenerates the
+files in the same change:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -38,6 +40,7 @@ CASES = {
     "teleport-corrected": ["run", str(GOLDEN / "teleport-corrected.qc")],
     "xgate-legacy-chisq": ["example", "xgate", "--legacy-chisq"],
     "reordered": ["run", str(GOLDEN / "reordered.qc")],
+    "sparse-product": ["run", str(GOLDEN / "sparse-product.qc")],
 }
 
 

@@ -17,6 +17,7 @@ from oracles import (
     rxc_tables_enum,
     table_log_probability_factorials,
 )
+from qassert import stats
 from qassert._rng import substream
 from qassert.errors import CapacityError, InvalidExpectedError
 from qassert.stats import (
@@ -255,12 +256,46 @@ class TestGenerateTableFixedMargins:
         assert chi_square_sf_quadrature(statistic, len(exact) - 1) > 1e-3
 
 
+@pytest.fixture
+def substream_calls(monkeypatch):
+    """The arguments of every `substream` call that `stats` makes."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return substream(*args)
+
+    monkeypatch.setattr(stats, "substream", counting)
+    return calls
+
+
 class TestMonteCarlo:
     def test_unique_table_ties_everywhere(self):
         pv = monte_carlo_independence(table([[3, 4], [0, 0]]), resamples=999, seed=1)
         assert pv.value == 1.0
         assert pv.method == TestMethod.MONTE_CARLO
         assert pv.resamples == 999
+
+    # Such margins admit only the observed table, so there is nothing to draw.
+    @pytest.mark.parametrize("cells", [
+        [[3, 4], [0, 0], [0, 0]],
+        [[0, 0, 0, 0], [2, 9, 1, 0]],
+        [[3, 0, 0], [4, 0, 0]],
+        [[0, 0], [0, 5], [0, 1], [0, 0]],
+        [[7]],
+    ], ids=["row-first", "row-second", "column-first", "column-second", "one-cell"])
+    def test_one_nonzero_row_or_column_gives_one_without_drawing(self, cells,
+                                                                  substream_calls):
+        pv = monte_carlo_independence(table(cells), resamples=4321, seed=3)
+        assert pv.value == 1.0
+        assert pv.method == TestMethod.MONTE_CARLO
+        assert pv.resamples == 4321
+        assert substream_calls == []
+
+    def test_two_nonzero_rows_and_columns_draw(self, substream_calls):
+        monte_carlo_independence(table([[3, 0, 1], [0, 0, 0], [2, 0, 4]]),
+                                 resamples=99, seed=3)
+        assert len(substream_calls) == 1
 
     def test_unentangled_wide_table_accepts_independence(self):
         # 32x2 table sampled from the Bernstein-Vazirani state after the
@@ -304,19 +339,23 @@ class TestMonteCarlo:
             bound = 4 * math.sqrt(exact * (1 - exact) / resamples) + 1 / (resamples + 1)
             assert abs(p_mc - exact) <= bound, (cells.tolist(), p_mc, exact)
 
+    # Each check also holds for a table whose margins admit only itself.
     def test_zero_resamples_rejected(self):
-        with pytest.raises(ValueError):
-            monte_carlo_independence(table([[1, 0], [0, 1]]), resamples=0)
+        for cells in ([[1, 0], [0, 1]], [[3, 4], [0, 0]]):
+            with pytest.raises(ValueError):
+                monte_carlo_independence(table(cells), resamples=0)
 
     def test_resamples_above_cap_rejected(self):
-        with pytest.raises(CapacityError):
-            monte_carlo_independence(table([[1, 2, 3], [4, 5, 6]]),
-                                     resamples=MAX_RESAMPLES + 1)
+        for cells in ([[1, 2, 3], [4, 5, 6]], [[3, 4], [0, 0]]):
+            with pytest.raises(CapacityError):
+                monte_carlo_independence(table(cells), resamples=MAX_RESAMPLES + 1)
 
     def test_table_above_cell_cap_rejected(self):
-        cells = np.ones((2, MAX_TABLE_CELLS // 2 + 1), dtype=np.int64)
-        with pytest.raises(CapacityError):
-            monte_carlo_independence(ContingencyTable(cells), resamples=99)
+        one_cell = np.zeros((2, MAX_TABLE_CELLS // 2 + 1), dtype=np.int64)
+        one_cell[0, 0] = 5
+        for cells in (np.ones_like(one_cell), one_cell):
+            with pytest.raises(CapacityError):
+                monte_carlo_independence(ContingencyTable(cells), resamples=99)
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
@@ -327,6 +366,34 @@ class TestMonteCarlo:
         a = monte_carlo_independence(tbl, resamples=999, seed=7).value
         b = monte_carlo_independence(tbl, resamples=999, seed=7).value
         assert a == b
+
+
+class TestNumpyHypergeometricStreams:
+    """The numpy behaviour that lets `_draw_tables` skip empty rows but not
+    empty columns: a skipped draw must be one that consumed nothing."""
+
+    @staticmethod
+    def consumed(ngood, nbad, nsample):
+        rng = substream(5, 0)
+        before = rng.bit_generator.state
+        rng.hypergeometric(ngood, nbad, nsample)
+        return rng.bit_generator.state != before
+
+    @pytest.mark.parametrize("ngood, nbad", [(0, 0), (3, 4), (500, 700), (0, 900),
+                                             (900, 0), ([50, 0, 700], [40, 600, 0])])
+    def test_empty_sample_consumes_nothing(self, ngood, nbad):
+        assert not self.consumed(ngood, nbad, 0)
+
+    @pytest.mark.parametrize("ngood, nbad", [(3, 4), (500, 700), (0, 900), (900, 0)])
+    def test_sample_of_everything_consumes_nothing(self, ngood, nbad):
+        assert not self.consumed(ngood, nbad, ngood + nbad)
+        # Leaving two items out is a real draw, which the check must see.
+        assert self.consumed(ngood + 1, nbad + 1, ngood + nbad)
+
+    def test_no_good_items_consumes_in_the_ratio_of_uniforms_range(self):
+        # numpy takes its HRUA path for 10 <= nsample <= total - 10.
+        assert self.consumed(0, 100, 50)
+        assert substream(5, 0).hypergeometric(0, 100, 50) == 0
 
 
 @st.composite
@@ -356,6 +423,18 @@ class TestSamplerProperties:
         p = monte_carlo_independence(observed, resamples, seed=seed).value
         assert 0.0 <= p <= 1.0
         assert monte_carlo_independence(observed, resamples, seed=seed).value == p
+
+    @settings(deadline=None)
+    @given(margins=margin_pairs(), seed=st.integers(0, 2**63),
+           resamples=st.integers(1, 1100), data=st.data())
+    def test_empty_rows_leave_the_pvalue_unchanged(self, margins, seed, resamples, data):
+        rows, cols = margins
+        cells = _draw_tables(rows, cols, 1, substream(seed, 1))[0]
+        positions = data.draw(st.lists(st.integers(0, rows.size), min_size=1, max_size=3))
+        padded = np.insert(cells, positions, 0, axis=0)
+        p = monte_carlo_independence(ContingencyTable(cells), resamples, seed=seed).value
+        assert monte_carlo_independence(ContingencyTable(padded), resamples,
+                                        seed=seed).value == p
 
 
 class TestLegacyChisqAdd1:
