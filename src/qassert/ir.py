@@ -52,10 +52,8 @@ def check_run_parameters(alpha: float | None, shots: int | None,
     for name, count in (("shots", shots), ("resamples", resamples)):
         if count is None:
             continue
-        try:
-            operator.index(count)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {count!r}") from None
+        if isinstance(count, bool) or not hasattr(count, "__index__"):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
 

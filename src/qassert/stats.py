@@ -242,15 +242,10 @@ def _draw_tables(rows: np.ndarray, cols: np.ndarray, count: int,
 
     Patefield's exact sampler (Appl. Stat. 30:91, AS 159): each cell is
     hypergeometric given the margins that the cells drawn before it leave.
-    An empty row is skipped: numpy draws nothing for a sample of 0, so every
-    later draw is the same as if it had been drawn. Empty columns are drawn,
-    because a hypergeometric with no good items can still consume randomness.
     """
     tables = np.zeros((count, rows.size, cols.size), dtype=np.int64)
     tables[:, -1] = cols  # the last row holds what the columns have left
     for i, need in enumerate(rows[:-1]):
-        if need == 0:
-            continue
         for j in range(cols.size - 1):
             rest = tables[:, -1, j + 1:].sum(1)
             tables[:, i, j] = rng.hypergeometric(tables[:, -1, j], rest, need)

@@ -309,7 +309,7 @@ class TestOnePipeline:
             call()
 
     # Unchecked, shots=2.5 drew 2 shots and then failed on "counts sum to 2",
-    # and an int bitstring raised TypeError from len().
+    # an int bitstring raised TypeError from len(), and shots=True ran 1 shot.
     @pytest.mark.parametrize("call, message", [
         (lambda: assert_classical(build_xgate(), None, [0, 1], shots=2.5),
          "shots must be an integer, got 2.5"),
@@ -319,8 +319,12 @@ class TestOnePipeline:
          "expected_bitstring must be a string, got 11"),
         (lambda: run_program(build_xgate(), ProgramConfig(shots=2.5)),
          "shots must be an integer, got 2.5"),
+        (lambda: assert_classical(build_xgate(), None, [0, 1], shots=True),
+         "shots must be an integer, got True"),
+        (lambda: run_program(build_xgate(), ProgramConfig(resamples=True)),
+         "resamples must be an integer, got True"),
     ], ids=["classical-shots-float", "product-resamples-float", "classical-bitstring-int",
-            "config-shots-float"])
+            "config-shots-float", "classical-shots-bool", "config-resamples-bool"])
     def test_parameter_types_are_checked_before_any_draw(self, call, message, monkeypatch):
         monkeypatch.setattr(assertions, "sample", lambda *args: pytest.fail("sampled"))
         with pytest.raises(ValueError, match=message):

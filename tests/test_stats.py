@@ -368,34 +368,6 @@ class TestMonteCarlo:
         assert a == b
 
 
-class TestNumpyHypergeometricStreams:
-    """The numpy behaviour that lets `_draw_tables` skip empty rows but not
-    empty columns: a skipped draw must be one that consumed nothing."""
-
-    @staticmethod
-    def consumed(ngood, nbad, nsample):
-        rng = substream(5, 0)
-        before = rng.bit_generator.state
-        rng.hypergeometric(ngood, nbad, nsample)
-        return rng.bit_generator.state != before
-
-    @pytest.mark.parametrize("ngood, nbad", [(0, 0), (3, 4), (500, 700), (0, 900),
-                                             (900, 0), ([50, 0, 700], [40, 600, 0])])
-    def test_empty_sample_consumes_nothing(self, ngood, nbad):
-        assert not self.consumed(ngood, nbad, 0)
-
-    @pytest.mark.parametrize("ngood, nbad", [(3, 4), (500, 700), (0, 900), (900, 0)])
-    def test_sample_of_everything_consumes_nothing(self, ngood, nbad):
-        assert not self.consumed(ngood, nbad, ngood + nbad)
-        # Leaving two items out is a real draw, which the check must see.
-        assert self.consumed(ngood + 1, nbad + 1, ngood + nbad)
-
-    def test_no_good_items_consumes_in_the_ratio_of_uniforms_range(self):
-        # numpy takes its HRUA path for 10 <= nsample <= total - 10.
-        assert self.consumed(0, 100, 50)
-        assert substream(5, 0).hypergeometric(0, 100, 50) == 0
-
-
 @st.composite
 def margin_pairs(draw):
     """Row and column margins of r, c <= 6 with one total <= 200, zeros allowed."""
