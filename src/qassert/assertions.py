@@ -16,8 +16,8 @@ import numpy as np
 from ._rng import derive_seed
 from .errors import InfeasibleShotsError
 from .ir import AssertionDirective, AssertionKind, Circuit, check_run_parameters
-from .sampling import HeldState, MeasurementDistribution, marginalize, sample
-from .sim import bitstring
+from .sampling import MeasurementDistribution, marginalize, sample
+from .sim import StateVector, bitstring
 from .stats import (
     ContingencyTable,
     DEFAULT_RESAMPLES,
@@ -50,7 +50,7 @@ class ProgramConfig:
     legacy_chisq: bool = False
 
     def __post_init__(self):
-        check_run_parameters(self.alpha, self.shots, self.resamples)
+        check_run_parameters(self.alpha, self.shots, self.resamples, self.seed)
 
 
 @dataclass
@@ -110,15 +110,18 @@ def _classical_pvalue(marg: MeasurementDistribution, target: int) -> PValue:
 
 def _check(directive: AssertionDirective, circuit: Circuit, at: int | None,
            alpha: float, shots: int | None, resamples: int | None, seed: int,
-           legacy_chisq: bool = False, held: HeldState | None = None) -> AssertionResult:
+           legacy_chisq: bool = False,
+           start: tuple[StateVector, int] | None = None) -> AssertionResult:
     """Evaluate `directive` on the prefix items[:at]: draw once, reduce the
     counts to the asserted qubits, test them.
 
     The other arguments are the resolved run parameters; shots and
     resamples of None take the per-kind shot default and DEFAULT_RESAMPLES.
-    A uniform test is refused with fewer shots than outcomes, before
-    anything is drawn, and warns below 5 shots per outcome.
+    A seed that is not an integer, and a uniform test with fewer shots than
+    outcomes, are refused before anything is drawn; a uniform test warns
+    below 5 shots per outcome.
     """
+    check_run_parameters(seed=seed)
     kind, qubits = directive.kind, directive.qubits
     shots = shots if shots is not None else default_shots(kind)
     k = 1 << len(qubits)
@@ -131,7 +134,7 @@ def _check(directive: AssertionDirective, circuit: Circuit, at: int | None,
         warnings.warn(
             f"uniform assertion: expected count {shots / k:.2f} per outcome is "
             f"below 5; consider at least {5 * k} shots", stacklevel=3)
-    dist = sample(circuit, at, shots, seed, held)
+    dist = sample(circuit, at, shots, seed, start)
     target = table_shape = None
     if kind == AssertionKind.PRODUCT:
         table = build_contingency_table(dist, directive.group0, directive.group1)
@@ -214,14 +217,14 @@ def assert_product(circuit: Circuit, at: int | None, group0, group1,
 
 
 def evaluate_checkpoint(circuit: Circuit, index: int, config: ProgramConfig,
-                        held: HeldState | None = None) -> AssertionResult:
+                        start: tuple[StateVector, int] | None = None) -> AssertionResult:
     """Evaluate the assertion directive at circuit.items[index].
 
     Parameter precedence: an explicit run-config shot override beats the
     directive, which beats the per-kind default; alpha and resamples fall
     back from directive to config. The checkpoint seed is derived from
-    (config seed, item index) so checkpoints sample independently. `held`
-    is the run's held prefix state, passed on to `sample`.
+    (config seed, item index) so checkpoints sample independently. `start`
+    is the run's evolved prefix, passed on to `sample`.
     """
     item = circuit.items[index]
     if not isinstance(item, AssertionDirective):
@@ -230,7 +233,7 @@ def evaluate_checkpoint(circuit: Circuit, index: int, config: ProgramConfig,
     shots = config.shots if config.shots is not None else item.shots
     resamples = item.resamples if item.resamples is not None else config.resamples
     result = _check(item, circuit, index, alpha, shots, resamples,
-                    derive_seed(config.seed, index), config.legacy_chisq, held)
+                    derive_seed(config.seed, index), config.legacy_chisq, start)
     result.expected_verdict = item.expected_verdict
     if item.expected_verdict is not None:
         result.matches_expected = result.passed == item.expected_verdict

@@ -11,6 +11,7 @@ position of the offending item.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,18 +44,21 @@ GATES = {
 PARAMETERIZED = frozenset(kind for kind, (_, _, angle, _) in GATES.items() if angle)
 
 
-def check_run_parameters(alpha: float | None, shots: int | None,
-                         resamples: int | None) -> None:
-    """Range-check a critical p-value and shot and resample counts, which
-    must be integers; None stands for "use the default" and always passes."""
-    if alpha is not None and not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+def check_run_parameters(alpha: float | None = None, shots: int | None = None,
+                         resamples: int | None = None, seed: int | None = None) -> None:
+    """Check run parameters: alpha is a real number in (0, 1), shots and
+    resamples are integers >= 1, and the seed is an integer; a bool is none
+    of these. None stands for "use the default" and always passes."""
+    if alpha is not None:
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+            raise ValueError(f"alpha must be a real number, got {alpha!r}")
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    for name, value in (("shots", shots), ("resamples", resamples), ("seed", seed)):
+        if value is not None and (isinstance(value, bool) or not hasattr(value, "__index__")):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     for name, count in (("shots", shots), ("resamples", resamples)):
-        if count is None:
-            continue
-        if isinstance(count, bool) or not hasattr(count, "__index__"):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-        if count < 1:
+        if count is not None and count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
 
 
@@ -161,6 +165,8 @@ class AssertionDirective:
         check_run_parameters(self.alpha, self.shots, self.resamples)
         if self.resamples is not None and self.kind != AssertionKind.PRODUCT:
             raise ValueError("resamples only applies to product assertions")
+        if self.expected_verdict is not None and not isinstance(self.expected_verdict, bool):
+            raise ValueError(f"expected_verdict must be a bool, got {self.expected_verdict!r}")
         bits = self.expected_bitstring
         if bits is not None:
             if self.kind != AssertionKind.CLASSICAL:

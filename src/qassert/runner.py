@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from ._rng import STREAM_VERSION
 from .assertions import AssertionResult, ProgramConfig, evaluate_checkpoint
-from .ir import AssertionDirective, AssertionKind, Circuit
-from .sampling import HeldState
+from .ir import AssertionDirective, AssertionKind, Circuit, Measurement
+from .sim import new_state
 
 TEXT = "text"
 JSON = "json"
@@ -60,19 +60,27 @@ class RunReport:
 def run_program(circuit: Circuit, config: ProgramConfig | None = None) -> RunReport:
     """Evaluate every assertion checkpoint in the circuit, in circuit order.
 
-    Up to the first mid-circuit measurement, the run evolves one held state
-    and each checkpoint advances it by its own items and draws from it.
+    Up to the first mid-circuit measurement, the run holds one evolved
+    `(state, pos)` pair, and each checkpoint advances it and draws from it.
+    A measurement, or a checkpoint that raises, drops it.
     """
     config = config if config is not None else ProgramConfig()
     circuit.validate()
     report = RunReport(config=config)
-    held = HeldState()
+    held = (new_state(circuit.n_qubits), 0)
     for index, item in enumerate(circuit.items):
+        if isinstance(item, Measurement):
+            held = None
         if not isinstance(item, AssertionDirective):
             continue
         entry = CheckpointReport(index=index)
+        start, held = held, None
         try:
-            entry.result = evaluate_checkpoint(circuit, index, config, held)
+            entry.result = evaluate_checkpoint(circuit, index, config, start)
+            if start is not None:
+                # `sample` walked items[pos:index], which holds no
+                # measurement, so start[0] is now the state of items[:index].
+                held = (start[0], index)
         except Exception as exc:  # one faulty checkpoint must not hide the rest
             entry.error = f"{type(exc).__name__}: {exc}"
         report.checkpoints.append(entry)

@@ -53,25 +53,12 @@ class MeasurementDistribution:
             raise ValueError(f"counts sum to {total}, expected shots={self.shots}")
 
 
-@dataclass(eq=False)
-class HeldState:
-    """One run's evolved measurement-free prefix: `state` is the state of
-    items[:pos], or None before any checkpoint has evolved it.
-
-    `pos` is None once the state is dropped: a measurement came before a
-    checkpoint, or an advance raised partway through. Every later
-    checkpoint then walks its own prefix.
-    """
-
-    state: StateVector | None = None
-    pos: int | None = 0
-
-
 MAX_SHOTS = 10**6
 
 
 def sample(circuit: Circuit, upto: int | None = None, shots: int = DEFAULT_SHOTS,
-           seed: int = 0, held: HeldState | None = None) -> MeasurementDistribution:
+           seed: int = 0, start: tuple[StateVector, int] | None = None
+           ) -> MeasurementDistribution:
     """Sample `shots` full-register measurements of the prefix items[:upto].
 
     Every draw comes from one generator, substream 0 of `seed`. The prefix
@@ -80,32 +67,16 @@ def sample(circuit: Circuit, upto: int | None = None, shots: int = DEFAULT_SHOTS
     multinomial over its final probabilities. A measurement-free prefix is
     a single leaf.
 
-    With `held`, a measurement-free prefix is not walked from |0...0>:
-    the held state is advanced from its position to `upto` and drawn from,
-    which gives the same counts, since that leaf's state is the same array
-    and its draw the same multinomial. A prefix that the held state cannot
-    reach, because a measurement lies in between or the prefix ends before
-    the held position, drops it and is walked as above.
+    `start` is passed to `walk`, which advances that state in place to
+    `upto`; the counts are the same as without it.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise CapacityError(f"{shots} shots exceed the cap of {MAX_SHOTS}")
     rng = substream(seed, 0, LANE_SHOTS)
-    start, advance = None, False
-    if held is not None and held.pos is not None:
-        stop = len(circuit.items[:upto])
-        advance = held.pos <= stop and not any(
-            isinstance(item, Measurement) for item in circuit.items[held.pos:stop])
-        if advance and held.state is not None:
-            start = (held.state, held.pos)
-        # Dropped here and given back only once the advance completes, so
-        # that a state left half-advanced by an exception is never reused.
-        held.state = held.pos = None
     counts = None
     for state, leaf_shots, _ in walk(circuit, upto, rng, shots, start):
-        if advance:
-            held.state, held.pos = state, stop
         probs = state.probabilities()
         probs /= probs.sum()  # numpy rejects probabilities summing a hair above 1
         drawn = rng.multinomial(leaf_shots, probs)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, CircuitError
-from .ir import PARAMETERIZED  # noqa: F401  re-exported; callers import it from sim
 from .ir import GATES, QUBIT_CAP, Circuit, GateOp, Measurement
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)

@@ -21,8 +21,8 @@ from qassert.assertions import (
 from qassert.errors import InfeasibleShotsError
 from qassert.examples import build_bv, build_qft, build_teleport, build_xgate
 from qassert.runner import ProgramConfig, run_program
-from qassert.sampling import HeldState, MeasurementDistribution
-from qassert.sim import Circuit, GateOp
+from qassert.sampling import MeasurementDistribution
+from qassert.sim import Circuit, GateOp, StateVector
 from qassert.stats import TestMethod
 
 
@@ -310,6 +310,8 @@ class TestOnePipeline:
 
     # Unchecked, shots=2.5 drew 2 shots and then failed on "counts sum to 2",
     # an int bitstring raised TypeError from len(), and shots=True ran 1 shot.
+    # A str alpha and a non-integer seed raised a bare TypeError naming no
+    # parameter, and a str verdict was accepted and then reported a mismatch.
     @pytest.mark.parametrize("call, message", [
         (lambda: assert_classical(build_xgate(), None, [0, 1], shots=2.5),
          "shots must be an integer, got 2.5"),
@@ -323,8 +325,22 @@ class TestOnePipeline:
          "shots must be an integer, got True"),
         (lambda: run_program(build_xgate(), ProgramConfig(resamples=True)),
          "resamples must be an integer, got True"),
+        (lambda: assert_uniform(bell(), None, [0], alpha="0.1"),
+         "alpha must be a real number, got '0.1'"),
+        (lambda: run_program(build_xgate(), ProgramConfig(alpha=True)),
+         "alpha must be a real number, got True"),
+        (lambda: AssertionDirective(AssertionKind.UNIFORM, qubits=(0,), expected_verdict="pass"),
+         "expected_verdict must be a bool, got 'pass'"),
+        (lambda: run_program(build_xgate(), ProgramConfig(seed="1")),
+         "seed must be an integer, got '1'"),
+        (lambda: assert_uniform(bell(), None, [0], seed=1.5),
+         "seed must be an integer, got 1.5"),
+        (lambda: assert_product(bell(), None, [0], [1], seed=True),
+         "seed must be an integer, got True"),
     ], ids=["classical-shots-float", "product-resamples-float", "classical-bitstring-int",
-            "config-shots-float", "classical-shots-bool", "config-resamples-bool"])
+            "config-shots-float", "classical-shots-bool", "config-resamples-bool",
+            "uniform-alpha-str", "config-alpha-bool", "directive-verdict-str",
+            "config-seed-str", "uniform-seed-float", "product-seed-bool"])
     def test_parameter_types_are_checked_before_any_draw(self, call, message, monkeypatch):
         monkeypatch.setattr(assertions, "sample", lambda *args: pytest.fail("sampled"))
         with pytest.raises(ValueError, match=message):
@@ -343,10 +359,10 @@ class TestOnePipeline:
         report = run_program(circuit, ProgramConfig(shots=2000, resamples=99))
         assert [args[1] for args in calls] == checkpoint_indices(circuit)
         assert report.n_errors == 0
-        held = calls[0][4]
-        assert isinstance(held, HeldState)
-        assert all(args[4] is held for args in calls)
+        held = calls[0][4][0]
+        assert isinstance(held, StateVector)
+        assert all(args[4][0] is held for args in calls)
 
     @pytest.mark.parametrize("fn", [assert_classical, assert_uniform, assert_product])
     def test_held_state_is_not_a_library_parameter(self, fn):
-        assert "held" not in inspect.signature(fn).parameters
+        assert "start" not in inspect.signature(fn).parameters

@@ -17,7 +17,7 @@ from oracles import (
     marginal_counts_ref,
     tv_distance,
 )
-from qassert import runner, sim
+from qassert import assertions, runner, sim
 from qassert.assertions import AssertionDirective, ProgramConfig, build_contingency_table
 from qassert.errors import CapacityError
 from qassert.examples import build_bv, build_qft
@@ -26,7 +26,6 @@ from qassert.runner import render_report, run_program
 from qassert.sampling import (
     MAX_EXACT_BRANCHES,
     MAX_SHOTS,
-    HeldState,
     MeasurementDistribution,
     exact_distribution,
     marginalize,
@@ -368,7 +367,8 @@ def read_circuit(path: str) -> Circuit:
 
 
 # Runs whose checkpoints draw from a held state (bv, qft, wide20), that
-# drop it at a mid-circuit measurement (teleport_corrected), or that list
+# drop it at a mid-circuit measurement (teleport_corrected) or at a
+# checkpoint that raises before it draws (middle-raises), or that list
 # their qubits out of order (reordered).
 HELD_RUNS = {
     "wide20": lambda: read_circuit("bench/circuits/wide20.qc"),
@@ -377,6 +377,9 @@ HELD_RUNS = {
     "qft": build_qft,
     "teleport-corrected": lambda: read_circuit("bench/circuits/teleport_corrected.qc"),
     "reordered": lambda: read_circuit("tests/golden/reordered.qc"),
+    "middle-raises": lambda: parse_circuit(
+        "qubits 3\nh 0\nassert_uniform 0\nx 1\nh 2\n"
+        "assert_uniform 0 1 2 shots=4\ncx 0 2\nassert_product [0] [2]\n"),
 }
 
 
@@ -394,24 +397,34 @@ class TestHeldState:
         circuit = build_qft()
         upto = next(i for i, item in enumerate(circuit.items)
                     if isinstance(item, AssertionDirective))
-        held = HeldState()
-        first = sample(circuit, upto, 2000, 5, held)
-        amplitudes = held.state.amplitudes.copy()
-        second = sample(circuit, upto, 2000, 5, held)
+        held = sim.new_state(circuit.n_qubits)
+        first = sample(circuit, upto, 2000, 5, (held, 0))
+        amplitudes = held.amplitudes.copy()
+        second = sample(circuit, upto, 2000, 5, (held, upto))
         fresh = sample(circuit, upto, 2000, 5)
-        assert held.pos == upto
-        assert np.array_equal(held.state.amplitudes, amplitudes)
+        assert np.array_equal(held.amplitudes, amplitudes)
         assert np.array_equal(first.counts, fresh.counts)
         assert np.array_equal(second.counts, fresh.counts)
 
-    def test_a_measurement_in_between_drops_the_held_state(self):
+    def test_a_measurement_in_between_drops_the_held_state(self, monkeypatch):
         circuit = parse_circuit(TELEPORT)
-        held = HeldState()
-        sample(circuit, 2, 100, 1, held)
-        assert held.state is not None and held.pos == 2
-        assert np.array_equal(sample(circuit, None, 3000, 1, held).counts,
+        held = sim.new_state(circuit.n_qubits)
+        sample(circuit, 2, 100, 1, (held, 0))
+        assert np.array_equal(sample(circuit, None, 3000, 1, (held, 2)).counts,
                               sample(circuit, None, 3000, 1).counts)
-        assert held.state is None and held.pos is None
+        # A run hands the checkpoint after a measurement no start.
+        circuit = parse_circuit(TELEPORT.replace("measure 0", "assert_uniform 1\nmeasure 0")
+                                + "assert_classical 0\n")
+        starts = []
+        real_sample = assertions.sample
+
+        def recording(*args):
+            starts.append(args[4])
+            return real_sample(*args)
+
+        monkeypatch.setattr(assertions, "sample", recording)
+        assert run_program(circuit, ProgramConfig(seed=1)).n_errors == 0
+        assert starts[0] is not None and starts[1] is None
 
     @pytest.mark.parametrize("name", HELD_RUNS)
     @pytest.mark.parametrize("seed", [1, 11, 12345])

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from oracles import bitstring_counts, evolve_with_unitaries
 
 from qassert.errors import CapacityError, CircuitError
+from qassert.ir import PARAMETERIZED
 from qassert.parser import parse_circuit, render_circuit
 from qassert.sampling import exact_distribution, sample
 from qassert.sim import (
-    PARAMETERIZED,
     Circuit,
     GateOp,
     Measurement,
