@@ -51,6 +51,7 @@ class ProgramConfig:
 
     def __post_init__(self):
         check_run_parameters(self.alpha, self.shots, self.resamples, self.seed)
+        self.alpha = float(self.alpha)  # reports are written as JSON
 
 
 @dataclass
@@ -179,7 +180,7 @@ def assert_classical(circuit: Circuit, at: int | None, qubits,
     directive = AssertionDirective(AssertionKind.CLASSICAL, qubits=tuple(qubits),
                                    alpha=alpha, shots=shots,
                                    expected_bitstring=expected_bitstring)
-    return _check(directive, circuit, at, alpha, shots, None, seed)
+    return _check(directive, circuit, at, directive.alpha, shots, None, seed)
 
 
 def assert_uniform(circuit: Circuit, at: int | None, qubits,
@@ -194,7 +195,7 @@ def assert_uniform(circuit: Circuit, at: int | None, qubits,
     """
     directive = AssertionDirective(AssertionKind.UNIFORM, qubits=tuple(qubits),
                                    alpha=alpha, shots=shots)
-    return _check(directive, circuit, at, alpha, shots, None, seed)
+    return _check(directive, circuit, at, directive.alpha, shots, None, seed)
 
 
 def assert_product(circuit: Circuit, at: int | None, group0, group1,
@@ -213,7 +214,7 @@ def assert_product(circuit: Circuit, at: int | None, group0, group1,
     directive = AssertionDirective(AssertionKind.PRODUCT, group0=tuple(group0),
                                    group1=tuple(group1), alpha=alpha, shots=shots,
                                    resamples=resamples)
-    return _check(directive, circuit, at, alpha, shots, resamples, seed, legacy_chisq)
+    return _check(directive, circuit, at, directive.alpha, shots, resamples, seed, legacy_chisq)
 
 
 def evaluate_checkpoint(circuit: Circuit, index: int, config: ProgramConfig,

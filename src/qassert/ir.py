@@ -163,6 +163,8 @@ class AssertionDirective:
             if len(set(group)) != len(group):
                 raise ValueError(f"assertion qubits must be distinct, got {list(group)}")
         check_run_parameters(self.alpha, self.shots, self.resamples)
+        if self.alpha is not None:  # reports are written as JSON
+            object.__setattr__(self, "alpha", float(self.alpha))
         if self.resamples is not None and self.kind != AssertionKind.PRODUCT:
             raise ValueError("resamples only applies to product assertions")
         if self.expected_verdict is not None and not isinstance(self.expected_verdict, bool):

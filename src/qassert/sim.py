@@ -17,7 +17,6 @@ from .ir import GATES, QUBIT_CAP, Circuit, GateOp, Measurement
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _FIXED_MATRICES = {
     "h": np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT1_2,
-    "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
     "s": np.array([[1, 0], [0, 1j]], dtype=np.complex128),
@@ -85,27 +84,40 @@ def _half(state: StateVector, q: int, bit: int,
 
 
 def _gate_matrix(gate: GateOp) -> np.ndarray:
-    """The 2x2 matrix a gate applies to its target: that of its base kind."""
+    """The 2x2 matrix of the gate's base kind; x and swap only exchange halves."""
     _, _, takes_angle, base = GATES[gate.kind]
     return _rotation_matrix(base, gate.angle) if takes_angle else _FIXED_MATRICES[base]
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Apply the gate's unitary in place; classical guards are the caller's job."""
+    """Apply the gate's unitary in place, with the floats of the full 2x2 mix
+    by a kernel per base kind; classical guards are the caller's job."""
     for q in gate.qubits():
         _check_qubit(state, q)
-    if gate.kind == "swap":
-        # Swapping the two qubit axes exchanges the |01> and |10> blocks.
+    base = GATES[gate.kind][3]
+    if base is None:  # swap exchanges the |01> and |10> blocks
         a, b = gate.targets
-        a0b1, a1b0 = _half(state, a, 0, (b,)), _half(state, b, 0, (a,))
-        a0b1[...], a1b0[...] = a1b0.copy(), a0b1.copy()
+        v0, v1 = _half(state, a, 0, (b,)), _half(state, b, 0, (a,))
+    else:
+        v0 = _half(state, gate.targets[0], 0, gate.controls)
+        v1 = _half(state, gate.targets[0], 1, gate.controls)
+    if base in (None, "x"):
+        held = v0.copy()  # the views are disjoint, so one copy exchanges them
+        v0[...], v1[...] = v1, held
         return state
     m = _gate_matrix(gate)
-    v0 = _half(state, gate.targets[0], 0, gate.controls)
-    v1 = _half(state, gate.targets[0], 1, gate.controls)
-    new0 = m[0, 0] * v0 + m[0, 1] * v1
-    v1[...] = m[1, 0] * v0 + m[1, 1] * v1
-    v0[...] = new0
+    if base == "h":  # m00 = m01 = m10 = -m11: two products instead of four
+        a, b = m[0, 0] * v0, m[0, 1] * v1
+        np.add(a, b, out=v0)
+        np.subtract(a, b, out=v1)
+    elif base in ("y", "rx", "ry"):
+        new0 = m[0, 0] * v0 + m[0, 1] * v1
+        v1[...] = m[1, 0] * v0 + m[1, 1] * v1
+        v0[...] = new0
+    else:  # diagonal, and m00 = 1 unless rz
+        v1[...] = m[1, 1] * v1
+        if base == "rz":
+            v0[...] = m[0, 0] * v0
     return state
 
 

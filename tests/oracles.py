@@ -264,3 +264,36 @@ def evolve_with_unitaries(n: int, amplitudes: np.ndarray, gates) -> np.ndarray:
     for kind, targets, controls, angle in gates:
         psi = gate_unitary(n, kind, targets, controls, angle) @ psi
     return psi
+
+
+def apply_gate_mix(amplitudes: np.ndarray, n: int, m: np.ndarray, targets,
+                   controls=()) -> np.ndarray:
+    """The full four-product 2x2 mix, `new0 = m00*v0 + m01*v1` and
+    `new1 = m10*v0 + m11*v1`, as the bit-exact reference for the
+    simulator's kernels by base kind; a swap is its index permutation.
+    Returns a new vector.
+
+    `m` is the simulator's own 2x2 matrix for the gate: the reference pins
+    the arithmetic, not the matrix entries. The products are formed on the
+    same strided views of the (2,)*n tensor, into fresh arrays, because
+    numpy's complex multiply may fuse a multiply-add on some layouts and
+    not on others, which moves the last bit.
+    """
+    out = np.array(amplitudes, dtype=np.complex128)
+    if len(targets) == 2:
+        a, b = (n - 1 - q for q in targets)
+        index = np.arange(1 << n)
+        differ = ((index >> a) ^ (index >> b)) & 1
+        return out[index ^ (differ << a) ^ (differ << b)]
+    tensor = out.reshape((2,) * n)
+    view = [slice(None)] * n
+    for c in controls:
+        view[c] = 1
+    view[targets[0]] = 0
+    v0 = tensor[(*view, ...)]
+    view[targets[0]] = 1
+    v1 = tensor[(*view, ...)]
+    new0 = m[0, 0] * v0 + m[0, 1] * v1
+    v1[...] = m[1, 0] * v0 + m[1, 1] * v1
+    v0[...] = new0
+    return out

@@ -1,6 +1,8 @@
 """Assertion checkpoint tests: classical, uniform, product, dispatch."""
 
 import inspect
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from qassert.assertions import (
 )
 from qassert.errors import InfeasibleShotsError
 from qassert.examples import build_bv, build_qft, build_teleport, build_xgate
-from qassert.runner import ProgramConfig, run_program
+from qassert.runner import ProgramConfig, render_report, run_program
 from qassert.sampling import MeasurementDistribution
 from qassert.sim import Circuit, GateOp, StateVector
 from qassert.stats import TestMethod
@@ -345,6 +347,19 @@ class TestOnePipeline:
         monkeypatch.setattr(assertions, "sample", lambda *args: pytest.fail("sampled"))
         with pytest.raises(ValueError, match=message):
             call()
+
+    # Any real alpha passes the checks, but a Fraction or a numpy float32
+    # reached the JSON report as such, and rendering it raised TypeError.
+    @pytest.mark.parametrize("alpha", [Fraction(1, 10), np.float32(0.1)],
+                             ids=["fraction", "float32"])
+    def test_a_non_float_alpha_is_stored_as_a_float(self, alpha):
+        report = run_program(build_xgate(), ProgramConfig(alpha=alpha))
+        directive = AssertionDirective(AssertionKind.UNIFORM, qubits=(0,), alpha=alpha)
+        result = assert_uniform(build_xgate(), None, [0], alpha=alpha)
+        assert type(report.config.alpha) is type(directive.alpha) is type(result.alpha) is float
+        payload = json.loads(render_report(report, "json"))
+        assert payload["config"]["alpha"] == float(alpha)
+        assert {c["alpha"] for c in payload["checkpoints"]} == {float(alpha)}
 
     def test_one_draw_per_checkpoint_from_the_runs_held_state(self, monkeypatch):
         calls = []

@@ -1,11 +1,13 @@
 """Built-in example structure: checkpoint placements and expected verdicts."""
 
 import time
+from importlib import resources
 
 import pytest
 
 from qassert.assertions import AssertionDirective, AssertionKind
-from qassert.examples import build_example, builtin_examples
+from qassert.examples import build_bv, build_example, build_qft, builtin_examples
+from qassert.parser import parse_circuit
 from qassert.runner import ProgramConfig, run_program
 
 
@@ -20,6 +22,14 @@ def test_catalog_names():
 def test_unknown_example_is_lookup_error():
     with pytest.raises(KeyError, match="ghz9"):
         build_example("ghz9")
+
+
+@pytest.mark.parametrize("name, build", [("bv", build_bv), ("qft", build_qft)])
+def test_shipped_circuit_file_equals_the_default_build(name, build):
+    # bv and qft are built in code; their files in circuits/ are a second
+    # source of the same default circuit and must not drift from it.
+    text = (resources.files("qassert") / "circuits" / f"{name}.qc").read_text(encoding="utf-8")
+    assert parse_circuit(text) == build()
 
 
 def test_qft_expected_verdicts_are_tfft():

@@ -6,9 +6,11 @@ examples, two injected bugs, the legacy add-1 chi-square route, a circuit
 file whose checkpoints follow mid-circuit measurements, one whose
 checkpoints list their qubits out of ascending order, and one whose
 product tables have empty rows or columns, or a single nonzero row or
-column. A mismatch means a random stream or a report field changed. A
-deliberate stream change bumps `_rng.STREAM_VERSION` and regenerates the
-files in the same change:
+column, and the 20-qubit benchmark file `bench/circuits/wide20.qc` (read
+in place), the one case wide enough to take `sampling.sample`'s
+nonzero-outcome draw. A mismatch means a random stream or a report field
+changed. A deliberate stream change bumps `_rng.STREAM_VERSION` and
+regenerates the files in the same change:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -27,6 +29,7 @@ import pytest
 from qassert.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_CIRCUITS = Path(__file__).resolve().parent.parent / "bench" / "circuits"
 GOLDEN_NUMPY = "2.4.6"
 FIXED = ["--seed", "11", "--shots", "2000", "--resamples", "999", "--format", "json"]
 CASES = {
@@ -41,6 +44,7 @@ CASES = {
     "xgate-legacy-chisq": ["example", "xgate", "--legacy-chisq"],
     "reordered": ["run", str(GOLDEN / "reordered.qc")],
     "sparse-product": ["run", str(GOLDEN / "sparse-product.qc")],
+    "wide20": ["run", str(BENCH_CIRCUITS / "wide20.qc")],
 }
 
 

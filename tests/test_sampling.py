@@ -17,7 +17,7 @@ from oracles import (
     marginal_counts_ref,
     tv_distance,
 )
-from qassert import assertions, runner, sim
+from qassert import assertions, runner, sampling, sim
 from qassert.assertions import AssertionDirective, ProgramConfig, build_contingency_table
 from qassert.errors import CapacityError
 from qassert.examples import build_bv, build_qft
@@ -26,6 +26,7 @@ from qassert.runner import render_report, run_program
 from qassert.sampling import (
     MAX_EXACT_BRANCHES,
     MAX_SHOTS,
+    SUPPORT_DRAW_MIN,
     MeasurementDistribution,
     exact_distribution,
     marginalize,
@@ -449,3 +450,59 @@ class TestHeldState:
         report = run_program(circuit, ProgramConfig(seed=1))
         assert report.n_errors == 0 and len(report.checkpoints) == 3
         assert len(calls) == len(set(map(id, calls))) == 19
+
+
+def probability_vector(size: int, nonzero: int, last_zero: bool, seed: int = 0) -> np.ndarray:
+    """A normalised vector with `nonzero` random nonzero entries; the last
+    entry is zero or among them, as asked."""
+    rng = np.random.default_rng(seed)
+    probs = np.zeros(size)
+    cells = rng.choice(size - 1, nonzero - (not last_zero), replace=False)
+    probs[cells] = rng.random(cells.size)
+    if not last_zero:
+        probs[-1] = rng.random()
+    return probs / probs.sum()
+
+
+class TestSupportDraw:
+    """A large leaf whose outcomes are mostly impossible is drawn over its
+    nonzero outcomes; the counts, and the generator state the next draw
+    starts from, are those of one multinomial over the whole vector."""
+
+    @pytest.mark.parametrize("last_zero", [True, False], ids=["last-zero", "last-nonzero"])
+    def test_numpy_draws_nothing_for_a_zero_probability_outcome(self, last_zero):
+        probs = probability_vector(1 << 12, 64, last_zero)
+        keep = probs != 0
+        keep[-1] = True  # the last outcome takes whatever shots remain
+        support = np.flatnonzero(keep)
+        for seed in range(20):
+            whole, compressed = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = whole.multinomial(1000, probs)
+            drawn = np.zeros_like(expected)
+            drawn[support] = compressed.multinomial(1000, probs[support])
+            assert np.array_equal(drawn, expected)
+            assert compressed.random() == whole.random()
+
+    @pytest.mark.parametrize("size", [SUPPORT_DRAW_MIN // 2, SUPPORT_DRAW_MIN, 1 << 12])
+    @pytest.mark.parametrize("nonzero, last_zero", [(8, True), (8, False), (None, False)],
+                             ids=["sparse-last-zero", "sparse-last-nonzero", "half-nonzero"])
+    def test_draw_equals_a_multinomial_over_the_whole_vector(self, size, nonzero, last_zero):
+        probs = probability_vector(size, nonzero or size // 2, last_zero)
+        for seed in range(10):
+            ours, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(sampling._draw(ours, 1000, probs),
+                                  whole.multinomial(1000, probs))
+            assert ours.random() == whole.random()
+
+    def test_a_split_walk_draws_every_leaf_as_the_whole_vector_would(self, monkeypatch):
+        # Two measurements split 11 qubits into four leaves of 2^11
+        # outcomes, 8 of them possible, and the two feed-forward gates make
+        # the leaves differ.
+        circuit = parse_circuit("qubits 11\n" + "".join(f"h {q}\n" for q in range(5))
+                                + "measure 0 -> 0\nmeasure 1 -> 1\ncif 0 x 9\ncif 1 x 10\n")
+        assert len(list(sim.walk(circuit, None, np.random.default_rng(0), 1000))) == 4
+        seeds = (1, 11, 12345)
+        ours = [sample(circuit, None, 1000, seed).counts for seed in seeds]
+        monkeypatch.setattr(sampling, "SUPPORT_DRAW_MIN", 1 << 30)
+        for seed, counts in zip(seeds, ours):
+            assert np.array_equal(counts, sample(circuit, None, 1000, seed).counts)

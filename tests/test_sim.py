@@ -1,15 +1,17 @@
 """State-vector simulator tests: gates, measurement, trajectories."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import bitstring_counts, evolve_with_unitaries
+from oracles import apply_gate_mix, bitstring_counts, evolve_with_unitaries
 
+from qassert import sim
 from qassert.errors import CapacityError, CircuitError
-from qassert.ir import PARAMETERIZED
+from qassert.ir import GATES, PARAMETERIZED
 from qassert.parser import parse_circuit, render_circuit
 from qassert.sampling import exact_distribution, sample
 from qassert.sim import (
@@ -319,6 +321,38 @@ class TestKernelOracle:
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
         assert state.norm() == pytest.approx(1.0, abs=1e-12)
         assert parse_circuit(render_circuit(circuit)) == circuit
+
+
+def every_gate(n, rng):
+    """Every kind in GATES on every ordered choice of its qubits among n,
+    each parameterised kind with a fresh angle."""
+    for kind, (n_controls, n_targets, takes_angle, _) in GATES.items():
+        for qubits in itertools.permutations(range(n), n_controls + n_targets):
+            angle = float(rng.uniform(-2 * math.pi, 2 * math.pi)) if takes_angle else None
+            yield GateOp(kind, qubits[n_controls:], qubits[:n_controls], angle)
+
+
+X_MATRIX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+
+class TestKernelBitExact:
+    # At n = 1, and for two-qubit gates at n = 2, every axis of the tensor
+    # is fixed, so _half returns 0-d views.
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    def test_every_kernel_gives_the_floats_of_the_full_mix(self, n):
+        rng = rng_for(n)
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        kinds = set()
+        for gate in every_gate(n, rng):
+            base = GATES[gate.kind][3]
+            m = X_MATRIX if base == "x" else None if base is None else sim._gate_matrix(gate)
+            expected = apply_gate_mix(amps, n, m, gate.targets, gate.controls)
+            state = new_state(n)
+            state.amplitudes = amps.copy()
+            apply_gate(state, gate)
+            assert np.array_equal(state.amplitudes, expected), gate
+            kinds.add(gate.kind)
+        assert kinds == {kind for kind, (c, t, _, _) in GATES.items() if c + t <= n}
 
 
 class TestCircuitValidate:
