@@ -31,7 +31,7 @@ from .ir import QUBIT_CAP, AssertionDirective, AssertionKind, Circuit, GateOp, M
 from .parser import parse_circuit, render_circuit
 from .runner import RunReport, render_report, run_program
 from .sampling import MeasurementDistribution, exact_distribution, marginalize, sample
-from .sim import StateVector, apply_gate, measure_qubit, new_state, run_trajectory
+from .sim import StateVector, apply_gate, new_state
 from .stats import (
     ContingencyTable,
     PValue,
@@ -39,10 +39,8 @@ from .stats import (
     chi_square_gof_pvalue,
     chi_square_statistic,
     fisher_exact_2x2,
-    generate_table_fixed_margins,
     legacy_chisq_add1,
     monte_carlo_independence,
-    table_log_probability,
     upper_regularized_gamma,
 )
 
@@ -58,9 +56,8 @@ __all__ = [
     "assert_product", "assert_uniform", "build_contingency_table",
     "build_example", "builtin_examples", "chi_square_gof_pvalue",
     "chi_square_statistic", "default_shots", "evaluate_checkpoint",
-    "exact_distribution", "fisher_exact_2x2", "generate_table_fixed_margins",
-    "legacy_chisq_add1", "marginalize", "measure_qubit",
-    "monte_carlo_independence", "new_state", "parse_circuit", "render_circuit",
-    "render_report", "run_program", "run_trajectory", "sample",
-    "table_log_probability", "upper_regularized_gamma",
+    "exact_distribution", "fisher_exact_2x2", "legacy_chisq_add1",
+    "marginalize", "monte_carlo_independence", "new_state", "parse_circuit",
+    "render_circuit", "render_report", "run_program", "sample",
+    "upper_regularized_gamma",
 ]

@@ -110,21 +110,22 @@ def _classical_pvalue(marg: MeasurementDistribution, target: int) -> PValue:
 
 
 def _check(directive: AssertionDirective, circuit: Circuit, at: int | None,
-           alpha: float, shots: int | None, resamples: int | None, seed: int,
-           legacy_chisq: bool = False,
+           config: ProgramConfig, seed: int,
            start: tuple[StateVector, int] | None = None) -> AssertionResult:
-    """Evaluate `directive` on the prefix items[:at]: draw once, reduce the
-    counts to the asserted qubits, test them.
+    """Evaluate `directive` on the prefix items[:at] with the checkpoint's
+    seed: resolve the run parameters, draw once, reduce the counts to the
+    asserted qubits, test them.
 
-    The other arguments are the resolved run parameters; shots and
-    resamples of None take the per-kind shot default and DEFAULT_RESAMPLES.
-    A seed that is not an integer, and a uniform test with fewer shots than
-    outcomes, are refused before anything is drawn; a uniform test warns
-    below 5 shots per outcome.
+    Run parameters are resolved here and nowhere else. Shots are the
+    config's, else the directive's, else the kind's default; alpha and
+    resamples are the directive's, else the config's, and resamples then
+    DEFAULT_RESAMPLES. Checked alphas and counts are never 0, so `or` skips
+    only None. A uniform test with fewer shots than outcomes is refused
+    before anything is drawn, and warns below 5 shots per outcome.
     """
-    check_run_parameters(seed=seed)
     kind, qubits = directive.kind, directive.qubits
-    shots = shots if shots is not None else default_shots(kind)
+    alpha = directive.alpha or config.alpha
+    shots = config.shots or directive.shots or default_shots(kind)
     k = 1 << len(qubits)
     if kind == AssertionKind.UNIFORM and shots < 5 * k:
         if shots < k:
@@ -140,12 +141,12 @@ def _check(directive: AssertionDirective, circuit: Circuit, at: int | None,
     if kind == AssertionKind.PRODUCT:
         table = build_contingency_table(dist, directive.group0, directive.group1)
         table_shape = table.cells.shape
-        if legacy_chisq:
+        if config.legacy_chisq:
             p_value = legacy_chisq_add1(table)
         elif table_shape == (2, 2):
             p_value = fisher_exact_2x2(table)
         else:
-            resamples = resamples if resamples is not None else DEFAULT_RESAMPLES
+            resamples = directive.resamples or config.resamples or DEFAULT_RESAMPLES
             p_value = monte_carlo_independence(table, resamples, seed=seed)
     else:
         marg = marginalize(dist, list(qubits))
@@ -158,11 +159,14 @@ def _check(directive: AssertionDirective, circuit: Circuit, at: int | None,
             index = int(bits, 2) if bits is not None else int(np.argmax(marg.counts))
             p_value = _classical_pvalue(marg, index)
             target = bitstring(index, len(qubits))
+    passed = p_value.value > alpha
+    expected = directive.expected_verdict
     return AssertionResult(
         kind=kind, qubits=qubits, group0=directive.group0 or None,
         group1=directive.group1 or None, alpha=alpha, p_value=p_value,
-        passed=p_value.value > alpha, shots_used=shots, target_bitstring=target,
-        table_shape=table_shape)
+        passed=passed, shots_used=shots, target_bitstring=target,
+        table_shape=table_shape, expected_verdict=expected,
+        matches_expected=None if expected is None else passed == expected)
 
 
 def assert_classical(circuit: Circuit, at: int | None, qubits,
@@ -180,7 +184,7 @@ def assert_classical(circuit: Circuit, at: int | None, qubits,
     directive = AssertionDirective(AssertionKind.CLASSICAL, qubits=tuple(qubits),
                                    alpha=alpha, shots=shots,
                                    expected_bitstring=expected_bitstring)
-    return _check(directive, circuit, at, directive.alpha, shots, None, seed)
+    return _check(directive, circuit, at, ProgramConfig(seed=seed), seed)
 
 
 def assert_uniform(circuit: Circuit, at: int | None, qubits,
@@ -195,7 +199,7 @@ def assert_uniform(circuit: Circuit, at: int | None, qubits,
     """
     directive = AssertionDirective(AssertionKind.UNIFORM, qubits=tuple(qubits),
                                    alpha=alpha, shots=shots)
-    return _check(directive, circuit, at, directive.alpha, shots, None, seed)
+    return _check(directive, circuit, at, ProgramConfig(seed=seed), seed)
 
 
 def assert_product(circuit: Circuit, at: int | None, group0, group1,
@@ -214,28 +218,19 @@ def assert_product(circuit: Circuit, at: int | None, group0, group1,
     directive = AssertionDirective(AssertionKind.PRODUCT, group0=tuple(group0),
                                    group1=tuple(group1), alpha=alpha, shots=shots,
                                    resamples=resamples)
-    return _check(directive, circuit, at, directive.alpha, shots, resamples, seed, legacy_chisq)
+    config = ProgramConfig(seed=seed, legacy_chisq=legacy_chisq)
+    return _check(directive, circuit, at, config, seed)
 
 
 def evaluate_checkpoint(circuit: Circuit, index: int, config: ProgramConfig,
                         start: tuple[StateVector, int] | None = None) -> AssertionResult:
-    """Evaluate the assertion directive at circuit.items[index].
+    """Evaluate the assertion directive at circuit.items[index] under `config`.
 
-    Parameter precedence: an explicit run-config shot override beats the
-    directive, which beats the per-kind default; alpha and resamples fall
-    back from directive to config. The checkpoint seed is derived from
-    (config seed, item index) so checkpoints sample independently. `start`
-    is the run's evolved prefix, passed on to `sample`.
+    The checkpoint seed is derived from (config seed, item index) so
+    checkpoints sample independently. `start` is the run's evolved prefix,
+    passed on to `sample`.
     """
     item = circuit.items[index]
     if not isinstance(item, AssertionDirective):
         raise ValueError(f"item {index} is not an assertion directive: {item!r}")
-    alpha = item.alpha if item.alpha is not None else config.alpha
-    shots = config.shots if config.shots is not None else item.shots
-    resamples = item.resamples if item.resamples is not None else config.resamples
-    result = _check(item, circuit, index, alpha, shots, resamples,
-                    derive_seed(config.seed, index), config.legacy_chisq, start)
-    result.expected_verdict = item.expected_verdict
-    if item.expected_verdict is not None:
-        result.matches_expected = result.passed == item.expected_verdict
-    return result
+    return _check(item, circuit, index, config, derive_seed(config.seed, index), start)

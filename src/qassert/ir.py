@@ -41,7 +41,6 @@ GATES = {
     "cr1": (1, 1, True, "r1"),
     "swap": (0, 2, False, None),
 }
-PARAMETERIZED = frozenset(kind for kind, (_, _, angle, _) in GATES.items() if angle)
 
 
 def check_run_parameters(alpha: float | None = None, shots: int | None = None,

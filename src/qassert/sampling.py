@@ -20,7 +20,7 @@ import numpy as np
 
 from ._rng import LANE_SHOTS, substream
 from .errors import CapacityError
-from .ir import Circuit, Measurement
+from .ir import Circuit, Measurement, check_run_parameters
 from .sim import StateVector, walk
 from .sim import run_trajectory  # noqa: F401  bench/spans.py traces it under this name
 
@@ -40,8 +40,7 @@ class MeasurementDistribution:
     counts: np.ndarray
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        check_run_parameters(shots=self.shots)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.shape != (1 << self.n_qubits,):
             raise ValueError(f"counts has shape {self.counts.shape}, expected "
@@ -87,8 +86,7 @@ def sample(circuit: Circuit, upto: int | None = None, shots: int = DEFAULT_SHOTS
     `start` is passed to `walk`, which advances that state in place to
     `upto`; the counts are the same as without it.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_run_parameters(shots=shots)
     if shots > MAX_SHOTS:
         raise CapacityError(f"{shots} shots exceed the cap of {MAX_SHOTS}")
     rng = substream(seed, 0, LANE_SHOTS)

@@ -20,6 +20,7 @@ import numpy as np
 
 from ._rng import LANE_RESAMPLES, substream
 from .errors import CapacityError, ConvergenceError, InvalidExpectedError
+from .ir import check_run_parameters
 
 DEFAULT_RESAMPLES = 9999
 MAX_RESAMPLES = 10**6  # about 10 s per 32x2 checkpoint, not hours
@@ -198,18 +199,6 @@ def chi_square_gof_pvalue(observed, expected_probs, total: int) -> PValue:
     return PValue(p, TestMethod.CHI_SQUARE, degrees_of_freedom=df)
 
 
-def table_log_probability(table: ContingencyTable) -> float:
-    """Log-probability of the table under fixed margins and independence.
-
-    log P = sum log(R_i!) + sum log(C_j!) - log(N!) - sum log(O_ij!),
-    the multivariate hypergeometric mass of the table given its margins.
-    """
-    lf = _log_factorials(table.total)
-    value = (float(lf[table.row_sums].sum()) + float(lf[table.col_sums].sum())
-             - float(lf[table.total]) - float(lf[table.cells].sum()))
-    return min(0.0, value)
-
-
 def fisher_exact_2x2(table: ContingencyTable) -> PValue:
     """Two-sided Fisher exact test for a 2x2 table.
 
@@ -255,21 +244,6 @@ def _draw_tables(rows: np.ndarray, cols: np.ndarray, count: int,
     return tables
 
 
-def generate_table_fixed_margins(row_sums, col_sums,
-                                 rng: np.random.Generator) -> ContingencyTable:
-    """One draw of `monte_carlo_independence`'s fixed-margins null sampler."""
-    rows = np.asarray(row_sums, dtype=np.int64)
-    cols = np.asarray(col_sums, dtype=np.int64)
-    if np.any(rows < 0) or np.any(cols < 0):
-        raise ValueError("margins must be nonnegative")
-    n = int(rows.sum())
-    if n != int(cols.sum()):
-        raise ValueError(f"margin mismatch: row sum {n} != column sum {int(cols.sum())}")
-    if n == 0:
-        raise ValueError("margins must sum to a positive total")
-    return ContingencyTable(_draw_tables(rows, cols, 1, rng)[0])
-
-
 def monte_carlo_independence(table: ContingencyTable,
                              resamples: int = DEFAULT_RESAMPLES,
                              seed: int = 0) -> PValue:
@@ -281,8 +255,7 @@ def monte_carlo_independence(table: ContingencyTable,
     Margins with at most one nonzero row or column admit only the observed
     table, so every resample ties it and p = 1 without drawing.
     """
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    check_run_parameters(resamples=resamples)
     if resamples > MAX_RESAMPLES:
         raise CapacityError(f"resamples must be <= {MAX_RESAMPLES}, got {resamples}")
     if table.cells.size > MAX_TABLE_CELLS:

@@ -1,5 +1,6 @@
 """Assertion checkpoint tests: classical, uniform, product, dispatch."""
 
+import dataclasses
 import inspect
 import json
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from oracles import count_vector
 
 from qassert import assertions
+from qassert._rng import derive_seed
 from qassert.assertions import (
     AssertionDirective,
     AssertionKind,
@@ -234,22 +236,56 @@ class TestEvaluateCheckpoint:
         with pytest.raises(ValueError):
             evaluate_checkpoint(circuit, 0, ProgramConfig())
 
-    def test_shot_precedence_config_beats_directive(self):
-        items = [GateOp("x", (0,)),
-                 AssertionDirective(AssertionKind.CLASSICAL, qubits=(0,),
-                                    shots=500)]
-        circuit = Circuit(1, 0, items)
-        result = evaluate_checkpoint(circuit, 1, ProgramConfig(shots=250))
-        assert result.shots_used == 250
-        result = evaluate_checkpoint(circuit, 1, ProgramConfig())
-        assert result.shots_used == 500
+    # Shots: the run config beats the directive, which beats the per-kind
+    # default. Alpha and resamples: the directive beats the config, and
+    # resamples of None in both take DEFAULT_RESAMPLES.
+    @pytest.mark.parametrize("directive, config, expected", [
+        ({"shots": 500}, {"shots": 250}, {"shots_used": 250}),
+        ({"shots": 500}, {}, {"shots_used": 500}),
+        ({}, {}, {"shots_used": 10000}),
+        ({"alpha": 0.2}, {"alpha": 0.01}, {"alpha": 0.2}),
+        ({}, {"alpha": 0.01}, {"alpha": 0.01}),
+        ({"resamples": 99}, {"resamples": 500}, {"resamples": 99}),
+        ({}, {"resamples": 500}, {"resamples": 500}),
+        ({}, {"resamples": None}, {"resamples": 9999}),
+    ], ids=["shots-config", "shots-directive", "shots-default", "alpha-directive",
+            "alpha-config", "resamples-directive", "resamples-config",
+            "resamples-default"])
+    def test_parameter_precedence(self, directive, config, expected):
+        items = [GateOp("h", (0,)), GateOp("h", (1,)), GateOp("h", (2,)),
+                 AssertionDirective(AssertionKind.PRODUCT, group0=(0, 1), group1=(2,),
+                                    **directive)]
+        result = evaluate_checkpoint(Circuit(3, 0, items), 3, ProgramConfig(**config))
+        assert result.table_shape == (4, 2)
+        resolved = {"shots_used": result.shots_used, "alpha": result.alpha,
+                    "resamples": result.p_value.resamples}
+        assert {key: resolved[key] for key in expected} == expected
 
-    def test_directive_alpha_beats_config(self):
-        items = [GateOp("x", (0,)),
-                 AssertionDirective(AssertionKind.CLASSICAL, qubits=(0,), alpha=0.2)]
-        circuit = Circuit(1, 0, items)
-        result = evaluate_checkpoint(circuit, 1, ProgramConfig(alpha=0.01))
-        assert result.alpha == 0.2
+    # Explicit parameters leave nothing to resolve, so a library call is the
+    # checkpoint it describes; only the author's expected verdict differs.
+    @pytest.mark.parametrize("kind", list(AssertionKind))
+    def test_library_call_equals_the_checkpoint(self, kind):
+        seed, index = 11, 3
+        params = {"alpha": 0.2, "shots": 3000}
+        if kind == AssertionKind.PRODUCT:
+            groups = {"group0": (0, 1), "group1": (2,)}
+            params["resamples"] = 499
+        else:
+            groups = {"qubits": (0, 1, 2)}
+        directive = AssertionDirective(kind, **groups, **params, expected_verdict=True)
+        circuit = Circuit(3, 0, [GateOp("h", (0,)), GateOp("cx", (1,), controls=(0,)),
+                                 GateOp("h", (2,)), directive])
+        checkpoint = evaluate_checkpoint(circuit, index, ProgramConfig(seed=seed))
+        call = {AssertionKind.CLASSICAL: assert_classical,
+                AssertionKind.UNIFORM: assert_uniform,
+                AssertionKind.PRODUCT: assert_product}[kind]
+        result = call(circuit, index, *groups.values(), **params,
+                      seed=derive_seed(seed, index))
+        assert (result.expected_verdict, result.matches_expected) == (None, None)
+        assert checkpoint.expected_verdict is True
+        assert checkpoint.matches_expected == checkpoint.passed
+        assert dataclasses.replace(checkpoint, expected_verdict=None,
+                                   matches_expected=None) == result
 
 
 class TestVerdictSemantics:

@@ -39,6 +39,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # Exact probabilities at or below this are treated as impossible outcomes.
 EPS = 1e-15
 
+# Shot counts refused before anything is drawn, with the message each gives.
+BAD_SHOTS = [(0, "shots must be >= 1, got 0"),
+             (True, "shots must be an integer, got True"),
+             (2.5, "shots must be an integer, got 2.5")]
+
 
 def bell():
     return Circuit(2, 0, [GateOp("h", (0,)), GateOp("cx", (1,), controls=(0,))])
@@ -72,9 +77,11 @@ class TestSample:
         assert exact["1"] == pytest.approx(0.5, abs=1e-12)
         assert 0.48 <= bitstring_counts(dist.counts)["1"] / 10000 <= 0.52
 
+    # Unchecked, shots=True drew 1 shot and shots=2.5 failed late on "counts sum to 2".
     def test_zero_shots_rejected(self):
-        with pytest.raises(ValueError):
-            sample(bell(), shots=0, seed=0)
+        for shots, message in BAD_SHOTS:
+            with pytest.raises(ValueError, match=message):
+                sample(bell(), shots=shots, seed=0)
 
     def test_determinism(self):
         a = sample(bell(), shots=500, seed=123)
@@ -113,8 +120,9 @@ class TestMeasurementDistribution:
             MeasurementDistribution(1, 1, [2, -1])
 
     def test_rejects_zero_shots(self):
-        with pytest.raises(ValueError):
-            MeasurementDistribution(1, 0, [0, 0])
+        for shots, message in BAD_SHOTS:
+            with pytest.raises(ValueError, match=message):
+                MeasurementDistribution(1, shots, [0, 0])
 
 
 class TestExactDistribution:

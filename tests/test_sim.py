@@ -11,7 +11,7 @@ from oracles import apply_gate_mix, bitstring_counts, evolve_with_unitaries
 
 from qassert import sim
 from qassert.errors import CapacityError, CircuitError
-from qassert.ir import GATES, PARAMETERIZED
+from qassert.ir import GATES
 from qassert.parser import parse_circuit, render_circuit
 from qassert.sampling import exact_distribution, sample
 from qassert.sim import (
@@ -285,7 +285,7 @@ def gate_circuits(draw):
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=12)):
         q0, q1 = draw(st.permutations(range(n)))[:2] if n > 1 else (0, None)
         angle = (draw(st.floats(-2 * math.pi, 2 * math.pi))
-                 if kind in PARAMETERIZED else None)
+                 if GATES[kind][2] else None)
         if kind == "swap":
             gates.append(GateOp(kind, (q0, q1)))
         elif kind in TWO_QUBIT_KINDS:

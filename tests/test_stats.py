@@ -18,7 +18,7 @@ from oracles import (
     table_log_probability_factorials,
 )
 from qassert import stats
-from qassert._rng import substream
+from qassert._rng import LANE_RESAMPLES, substream
 from qassert.errors import CapacityError, InvalidExpectedError
 from qassert.stats import (
     MAX_RESAMPLES,
@@ -30,10 +30,8 @@ from qassert.stats import (
     chi_square_gof_pvalue,
     chi_square_statistic,
     fisher_exact_2x2,
-    generate_table_fixed_margins,
     legacy_chisq_add1,
     monte_carlo_independence,
-    table_log_probability,
     upper_regularized_gamma,
 )
 
@@ -189,36 +187,20 @@ class TestFisherExact:
                         assert impl == pytest.approx(oracle, abs=1e-12), cells
 
 
-class TestTableLogProbability:
-    def test_single_cell_is_certain(self):
-        assert table_log_probability(table([[17]])) == 0.0
-
-    def test_two_equiprobable_tables(self):
-        assert table_log_probability(table([[1, 0], [0, 1]])) == pytest.approx(
-            math.log(0.5), abs=1e-12)
-
-    def test_matches_direct_factorials(self):
-        rng = np.random.default_rng(4)
-        for _ in range(60):
-            r = int(rng.integers(1, 5))
-            c = int(rng.integers(1, 5))
-            cells = rng.integers(0, 4, size=(r, c))
-            if cells.sum() == 0 or cells.sum() > 20:
-                continue
-            impl = table_log_probability(table(cells))
-            oracle = table_log_probability_factorials(cells)
-            assert impl == pytest.approx(oracle, abs=1e-9)
+def one_table(rows, cols, rng):
+    """One draw of the Monte Carlo test's fixed-margins null sampler."""
+    return ContingencyTable(_draw_tables(np.asarray(rows), np.asarray(cols), 1, rng)[0])
 
 
-class TestGenerateTableFixedMargins:
+class TestFixedMarginsSampler:
     def test_forced_by_margins(self):
-        tbl = generate_table_fixed_margins([2, 0], [1, 1], substream(0, 0))
+        tbl = one_table([2, 0], [1, 1], substream(0, 0))
         assert tbl.cells.tolist() == [[1, 1], [0, 0]]
 
     def test_unit_margins_equiprobable(self):
         diagonal = 0
         for i in range(10000):
-            tbl = generate_table_fixed_margins([1, 1], [1, 1], substream(5, i))
+            tbl = one_table([1, 1], [1, 1], substream(5, i))
             assert tbl.cells.tolist() in ([[1, 0], [0, 1]], [[0, 1], [1, 0]])
             diagonal += int(tbl.cells[0, 0])
         assert abs(diagonal / 10000 - 0.5) < 0.02
@@ -233,17 +215,9 @@ class TestGenerateTableFixedMargins:
                 cells[0, 0] = 1
             rows = cells.sum(axis=1)
             cols = cells.sum(axis=0)
-            tbl = generate_table_fixed_margins(rows, cols, substream(trial, 0))
+            tbl = one_table(rows, cols, substream(trial, 0))
             assert tbl.row_sums.tolist() == rows.tolist()
             assert tbl.col_sums.tolist() == cols.tolist()
-
-    def test_margin_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            generate_table_fixed_margins([2, 1], [1, 1], substream(0, 0))
-
-    def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            generate_table_fixed_margins([0, 0], [0, 0], substream(0, 0))
 
     def test_frequencies_fit_exact_table_probabilities(self):
         rows, cols, draws = [3, 4], [2, 3, 2], 20000
@@ -339,11 +313,29 @@ class TestMonteCarlo:
             bound = 4 * math.sqrt(exact * (1 - exact) / resamples) + 1 / (resamples + 1)
             assert abs(p_mc - exact) <= bound, (cells.tolist(), p_mc, exact)
 
+    # The p-value, pinned exactly: the same tables from the same stream,
+    # counted by exact factorials where the test sums log-gammas.
+    def test_pvalue_counts_tables_no_more_probable_than_observed(self):
+        tables = random_rxc_tables([(2, 3), (3, 3), (2, 4)], 3, 14, seed=77)
+        for i, cells in enumerate(tables):
+            resamples = (1, 999, 1024)[i % 3]
+            rows, cols = cells.sum(axis=1), cells.sum(axis=0)
+            drawn = _draw_tables(rows, cols, resamples, substream(i, 0, LANE_RESAMPLES))
+            observed = table_log_probability_factorials(cells)
+            extreme = sum(table_log_probability_factorials(t) <= observed + 1e-9
+                          for t in drawn)
+            p = monte_carlo_independence(table(cells), resamples, seed=i).value
+            assert p == (1 + extreme) / (1 + resamples), cells.tolist()
+
     # Each check also holds for a table whose margins admit only itself.
+    # Unchecked, resamples=True ran 1 resample and resamples=2.5 raised a bare TypeError.
     def test_zero_resamples_rejected(self):
         for cells in ([[1, 0], [0, 1]], [[3, 4], [0, 0]]):
-            with pytest.raises(ValueError):
-                monte_carlo_independence(table(cells), resamples=0)
+            for resamples, message in [(0, "resamples must be >= 1, got 0"),
+                                       (True, "resamples must be an integer, got True"),
+                                       (2.5, "resamples must be an integer, got 2.5")]:
+                with pytest.raises(ValueError, match=message):
+                    monte_carlo_independence(table(cells), resamples=resamples)
 
     def test_resamples_above_cap_rejected(self):
         for cells in ([[1, 2, 3], [4, 5, 6]], [[3, 4], [0, 0]]):
